@@ -6,9 +6,12 @@
 
 Commands: parse, eval, diagram, normalize, equal, check.
 
-Exit codes: 0 ok / at least one parse; 1 no parse; 2 file parse error;
-3 semantic or type error in a file; 4 unknown token; 5 derivation index
-out of range.
+Exit codes: 0 ok / at least one parse; 1 no parse; 2 file parse error or
+bad command-line argument (such as ``--max-derivations`` or ``--budget``
+below 1); 3 semantic or type error in a file; 4 unknown token; 5
+derivation index out of range.  A derivation whose evaluation fails, for
+instance on a predicate the model lacks, prints ``<error: ...>`` in place
+of its value.
 """
 
 from __future__ import annotations
@@ -68,7 +71,12 @@ def _tokenize(words) -> list:
 
 
 def main(argv=None) -> int:
-    args = _argparser().parse_intermixed_args(argv)
+    parser = _argparser()
+    args = parser.parse_intermixed_args(argv)
+    for flag, value in (("--max-derivations", args.max_derivations),
+                        ("--budget", args.budget)):
+        if value is not None and value < 1:
+            parser.error(f"argument {flag}: must be at least 1, got {value}")
     out = sys.stdout
 
     try:
@@ -131,7 +139,7 @@ def main(argv=None) -> int:
         for n, d in enumerate(show):
             try:
                 v = render_value(eval_term(derivation_term(reg, d), {}, model, reg))
-            except EvalError as exc:
+            except (EvalError, ModelError) as exc:
                 v = f"<error: {exc}>"
             print(f"derivation {n}: {d.ty} = {v}", file=out)
         return EXIT_OK

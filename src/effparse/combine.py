@@ -7,6 +7,9 @@ function) around exactly one base mode (forward/backward application,
 pointwise conjunction/disjunction), possibly under postfix shrinking
 modes (J joins a doubled effect, DN lowers a continuation, C cancels an
 adjacent adjoint pair).  Sequences are stored outermost-first.
+:data:`MODE_RULES` defines each mode kind once: its typing rule, its
+denotation and its diagram cell; enumeration, replay, denotation and
+diagram construction all read it.
 
 Parsing is CKY over a packed chart keyed by (category, type); an optional
 syntactic CFG is intersected with the type grammar by the product
@@ -34,9 +37,9 @@ class UnknownTokenError(Exception):
         self.position = position
 
 
-BASE_KINDS = ("fwd", "bwd", "conj", "disj")
 _BASE_RENDER = {"fwd": ">", "bwd": "<", "conj": "&", "disj": "|"}
 _RENDER_BASE = {v: k for k, v in _BASE_RENDER.items()}
+_T = Base("t")
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,13 @@ class Mode:
     rendered: str = field(init=False, compare=False, repr=False, default="")
 
     def __post_init__(self):
-        if self.kind in _BASE_RENDER:
-            text = _BASE_RENDER[self.kind]
-        elif self.kind == "dn":
-            text = "DN"
-        elif self.kind == "c":
-            text = f"C_{self.pair[0]}:{self.pair[1]}"
-        else:
-            text = f"{self.kind.upper()}_{self.functor}"
+        if self.kind not in MODE_RULES:
+            raise ModeError(f"unknown mode kind {self.kind}")
+        text = _BASE_RENDER.get(self.kind) or self.kind.upper()
+        if self.pair is not None:
+            text += f"_{self.pair[0]}:{self.pair[1]}"
+        elif self.functor is not None:
+            text += f"_{self.functor}"
         object.__setattr__(self, "rendered", text)
 
     def render(self) -> str:
@@ -65,18 +67,21 @@ class Mode:
 
 
 def parse_mode(text: str) -> Mode:
-    if text in _RENDER_BASE:
-        return Mode(_RENDER_BASE[text])
-    if text == "DN":
-        return Mode("dn")
-    if text.startswith("C_") and ":" in text:
-        left, right = text[2:].split(":", 1)
-        return Mode("c", pair=(left, right))
-    if "_" in text:
-        kind, functor = text.split("_", 1)
-        kind = kind.lower()
-        if kind in ("ml", "mr", "a", "ul", "ur", "el", "er", "j"):
-            return Mode(kind, functor=functor)
+    """The mode rendered as ``text``; kinds and their indices come from
+    :data:`MODE_RULES`."""
+    head, _, index = text.partition("_")
+    kind = _RENDER_BASE.get(text, head.lower())
+    rule = MODE_RULES.get(kind)
+    if rule is not None:
+        if rule.indexed_by == "pair":
+            left, _, right = index.partition(":")
+            m = Mode(kind, pair=(left, right))
+        elif rule.indexed_by == "functor":
+            m = Mode(kind, functor=index)
+        else:
+            m = Mode(kind)
+        if m.render() == text:
+            return m
     raise ModeError(f"cannot parse mode {text!r}")
 
 
@@ -88,23 +93,232 @@ def parse_modes(text: str):
     return tuple(parse_mode(tok) for tok in text.split())
 
 
-# -- enumeration -----------------------------------------------------------
+# -- the mode table ----------------------------------------------------------
 
 def _pure(ty: Ty) -> bool:
     return deep_effect_count(ty) == 0
 
 
+def _fwd(reg, l, r):
+    if isinstance(l, Arrow) and r == l.dom and _pure(l.dom):
+        return Mode("fwd"), l.cod
+
+
+def _bwd(reg, l, r):
+    if isinstance(r, Arrow) and l == r.dom and _pure(r.dom):
+        return Mode("bwd"), r.cod
+
+
+def _pointwise(kind):
+    def step(reg, l, r):
+        if isinstance(l, Arrow) and l == r and _pure(l.dom) and l.cod == _T:
+            return Mode(kind), l
+    return step
+
+
+def _strip(reg, ty):
+    """ML/MR: work under the outer effect of ``F a``."""
+    if isinstance(ty, Eff):
+        return ty.functor, ty.inner
+
+
+def _feed_unit(reg, ty):
+    """UL/UR: feed units into ``F a -> b`` for an applicative F."""
+    if (isinstance(ty, Arrow) and isinstance(ty.dom, Eff)
+            and reg.has_cap(ty.dom.functor, "applicative")):
+        return ty.dom.functor, Arrow(ty.dom.inner, ty.cod)
+
+
+def _internalise(reg, ty):
+    """EL/ER: read ``R (a -> b)`` as ``a -> R b`` for a right adjoint R."""
+    if (isinstance(ty, Eff) and isinstance(ty.inner, Arrow)
+            and any(ty.functor == right for _, right in reg.adjunctions())):
+        return ty.functor, Arrow(ty.inner.dom, Eff(ty.functor, ty.inner.cod))
+
+
+def _on_left(kind, side):
+    def step(reg, l, r):
+        hit = side(reg, l)
+        if hit is not None:
+            return Mode(kind, hit[0]), (hit[1], r)
+    return step
+
+
+def _on_right(kind, side):
+    def step(reg, l, r):
+        hit = side(reg, r)
+        if hit is not None:
+            return Mode(kind, hit[0]), (l, hit[1])
+    return step
+
+
+def _merge(reg, l, r):
+    if (isinstance(l, Eff) and isinstance(r, Eff) and l.functor == r.functor
+            and reg.has_cap(l.functor, "applicative")):
+        return Mode("a", l.functor), (l.inner, r.inner)
+
+
+def _join(reg, ty):
+    if (isinstance(ty, Eff) and isinstance(ty.inner, Eff)
+            and ty.functor == ty.inner.functor and reg.has_cap(ty.functor, "monad")):
+        return Mode("j", ty.functor), ty.inner
+
+
+def _lower(reg, ty):
+    if isinstance(ty, Eff) and ty.inner == _T and reg.lowering_for(ty.functor) is not None:
+        return Mode("dn"), ty.inner
+
+
+def _cancel(reg, ty):
+    if (isinstance(ty, Eff) and isinstance(ty.inner, Eff)
+            and reg.is_adjunction(ty.functor, ty.inner.functor)):
+        return Mode("c", pair=(ty.functor, ty.inner.functor)), ty.inner.inner
+
+
+V, L, A = T.Var, T.Lam, T.App
+
+
+def _lam2(f):
+    x, y = T.fresh_var("x"), T.fresh_var("y")
+    return L(x, L(y, f(V(x), V(y))))
+
+
+def _pointwise_term(op):
+    def denote(m):
+        p, q, x = (T.fresh_var(s) for s in "pqx")
+        return L(p, L(q, L(x, op(A(V(p), V(x)), A(V(q), V(x))))))
+    return denote
+
+
+def _fmap_left(m):
+    def tr(M):
+        a = T.fresh_var("a")
+        return _lam2(lambda x, y: T.Fmap(m.functor, L(a, A(A(M, V(a)), y)), x))
+    return tr
+
+
+def _fmap_right(m):
+    def tr(M):
+        b = T.fresh_var("b")
+        return _lam2(lambda x, y: T.Fmap(m.functor, L(b, A(A(M, x), V(b))), y))
+    return tr
+
+
+def _ap_both(m):
+    f = m.functor
+
+    def tr(M):
+        a, b = T.fresh_var("a"), T.fresh_var("b")
+        return _lam2(lambda x, y: T.ApOp(
+            f, T.Fmap(f, L(a, L(b, A(A(M, V(a)), V(b)))), x), y))
+    return tr
+
+
+def _unit_right(m):
+    def tr(M):
+        b = T.fresh_var("b")
+        return _lam2(lambda x, phi: A(A(M, x), L(b, A(phi, T.Eta(m.functor, V(b))))))
+    return tr
+
+
+def _unit_left(m):
+    def tr(M):
+        a = T.fresh_var("a")
+        return _lam2(lambda phi, y: A(A(M, L(a, A(phi, T.Eta(m.functor, V(a))))), y))
+    return tr
+
+
+def _upsilon_left(m):
+    def tr(M):
+        return _lam2(lambda phi, y: A(A(M, T.Upsilon(m.functor, phi)), y))
+    return tr
+
+
+def _upsilon_right(m):
+    def tr(M):
+        return _lam2(lambda x, phi: A(A(M, x), T.Upsilon(m.functor, phi)))
+    return tr
+
+
+def _around(wrap):
+    """A postfix denotation: ``wrap(m, r)`` around the inner result r."""
+    def denote(m):
+        def tr(M):
+            return _lam2(lambda x, y: wrap(m, A(A(M, x), y)))
+        return tr
+    return denote
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """What one mode kind does in typing, denotation and diagrams.
+
+    ``step`` is the typing rule; it returns None where the kind does not
+    apply.  A base rule maps the child types ``(l, r)`` to ``(mode,
+    result)``; a wrapper rule maps them to ``(mode, (l', r'))``, the
+    child types its inner sequence combines; a postfix rule maps the
+    result of its inner sequence to ``(mode, shrunk result)``.
+    ``rewrap`` puts the mode's functor back on the inner result, when
+    the functor applies to it.  ``denote`` gives a base mode's figure
+    term, or a wrapper/postfix mode's term transformer.  In a diagram
+    the mode takes ``takes`` = (left, right) strings off its children's
+    effect words and emits a ``cell`` cell, if any.
+    """
+
+    place: str  # "base", "wrapper" or "postfix"
+    indexed_by: str | None  # what follows the kind in the rendering
+    step: object
+    denote: object
+    rewrap: bool = False
+    takes: tuple = (0, 0)
+    cell: str | None = None
+
+
+MODE_RULES = {
+    "fwd": _Rule("base", None, _fwd, lambda m: _lam2(lambda phi, x: A(phi, x))),
+    "bwd": _Rule("base", None, _bwd, lambda m: _lam2(lambda x, phi: A(phi, x))),
+    "conj": _Rule("base", None, _pointwise("conj"), _pointwise_term(T.And)),
+    "disj": _Rule("base", None, _pointwise("disj"), _pointwise_term(T.Or)),
+    "ml": _Rule("wrapper", "functor", _on_left("ml", _strip), _fmap_left,
+                rewrap=True, takes=(1, 0)),
+    "mr": _Rule("wrapper", "functor", _on_right("mr", _strip), _fmap_right,
+                rewrap=True, takes=(0, 1)),
+    "a": _Rule("wrapper", "functor", _merge, _ap_both,
+               rewrap=True, takes=(1, 1), cell="ap"),
+    "ul": _Rule("wrapper", "functor", _on_right("ul", _feed_unit), _unit_right),
+    "ur": _Rule("wrapper", "functor", _on_left("ur", _feed_unit), _unit_left),
+    "el": _Rule("wrapper", "functor", _on_left("el", _internalise), _upsilon_left),
+    "er": _Rule("wrapper", "functor", _on_right("er", _internalise), _upsilon_right),
+    "j": _Rule("postfix", "functor", _join,
+               _around(lambda m, r: T.Mu(m.functor, r)), cell="mu"),
+    "dn": _Rule("postfix", None, _lower, _around(lambda m, r: T.Lower(r)), cell="lower"),
+    "c": _Rule("postfix", "pair", _cancel,
+               _around(lambda m, r: T.Eps(*m.pair, r)), cell="epsilon"),
+}
+BASE_KINDS = tuple(k for k, rule in MODE_RULES.items() if rule.place == "base")
+_RULES_AT = {place: tuple(rule for rule in MODE_RULES.values() if rule.place == place)
+             for place in ("base", "wrapper", "postfix")}
+
+
+def _rewrapped(reg, rule, mode, ty):
+    if not rule.rewrap:
+        return ty
+    return Eff(mode.functor, ty) if reg.applicable(mode.functor, ty) else None
+
+
+# -- enumeration -----------------------------------------------------------
+
+def _nodes(ty: Ty) -> int:
+    if isinstance(ty, (Arrow, Prod)):
+        a, b = (ty.dom, ty.cod) if isinstance(ty, Arrow) else (ty.left, ty.right)
+        return 1 + _nodes(a) + _nodes(b)
+    if isinstance(ty, Eff):
+        return 1 + _nodes(ty.inner)
+    return 0
+
+
 def _structural_cap(lty: Ty, rty: Ty) -> int:
-    def nodes(ty):
-        if isinstance(ty, Base):
-            return 0
-        if isinstance(ty, (Arrow, Prod)):
-            a, b = (ty.dom, ty.cod) if isinstance(ty, Arrow) else (ty.left, ty.right)
-            return 1 + nodes(a) + nodes(b)
-        if isinstance(ty, Eff):
-            return 1 + nodes(ty.inner)
-        return 0
-    return 2 * (nodes(lty) + nodes(rty)) + 2
+    return 2 * (_nodes(lty) + _nodes(rty)) + 2
 
 
 def _seq_sort_key(seq) -> tuple:
@@ -126,8 +340,12 @@ def modes_by_type(reg: Registry, left: Ty, right: Ty, budget: int,
     if budget < 1:
         return {}
     budget = min(budget, _structural_cap(left, right))
-    right_adjoints = tuple(r for _, r in reg.adjunctions())
     cache = reg._combo_cache
+    hit = cache.get((left, right, budget, pruned, seq_cap))
+    if hit is not None:
+        # return before building ``go``: its self-reference is a cycle
+        # that only the garbage collector frees, on every warm call
+        return hit
 
     def keep(mode: Mode, seq: tuple) -> bool:
         if not pruned:
@@ -148,76 +366,34 @@ def modes_by_type(reg: Registry, left: Ty, right: Ty, budget: int,
             return len(bucket) != before
 
         if b >= 1:
-            # base modes: the argument side must be pure
-            if isinstance(lty, Arrow) and rty == lty.dom and _pure(lty.dom):
-                add((Mode("fwd"),), lty.cod)
-            if isinstance(rty, Arrow) and lty == rty.dom and _pure(rty.dom):
-                add((Mode("bwd"),), rty.cod)
-            if (isinstance(lty, Arrow) and lty == rty and _pure(lty.dom)
-                    and lty.cod == Base("t")):
-                add((Mode("conj"),), lty)
-                add((Mode("disj"),), lty)
+            for rule in _RULES_AT["base"]:
+                offer = rule.step(reg, lty, rty)
+                if offer is not None:
+                    add((offer[0],), offer[1])
         if b >= 2:
-            def wrap(mode, inner, result_of):
-                for ty, seqs in inner.items():
-                    res = result_of(ty)
+            for rule in _RULES_AT["wrapper"]:
+                offer = rule.step(reg, lty, rty)
+                if offer is None:
+                    continue
+                mode, children = offer
+                for ty, seqs in go(*children, b - 1).items():
+                    res = _rewrapped(reg, rule, mode, ty)
                     if res is None:
                         continue
                     for seq in seqs:
                         if keep(mode, seq):
                             add((mode,) + seq, res)
-
-            if isinstance(lty, Eff):
-                f = lty.functor
-                wrap(Mode("ml", f), go(lty.inner, rty, b - 1),
-                     lambda ty, f=f: Eff(f, ty) if reg.applicable(f, ty) else None)
-            if isinstance(rty, Eff):
-                f = rty.functor
-                wrap(Mode("mr", f), go(lty, rty.inner, b - 1),
-                     lambda ty, f=f: Eff(f, ty) if reg.applicable(f, ty) else None)
-            if (isinstance(lty, Eff) and isinstance(rty, Eff)
-                    and lty.functor == rty.functor
-                    and reg.has_cap(lty.functor, "applicative")):
-                f = lty.functor
-                wrap(Mode("a", f), go(lty.inner, rty.inner, b - 1),
-                     lambda ty, f=f: Eff(f, ty) if reg.applicable(f, ty) else None)
-            if (isinstance(lty, Arrow) and isinstance(lty.dom, Eff)
-                    and reg.has_cap(lty.dom.functor, "applicative")):
-                wrap(Mode("ur", lty.dom.functor),
-                     go(Arrow(lty.dom.inner, lty.cod), rty, b - 1), lambda ty: ty)
-            if (isinstance(rty, Arrow) and isinstance(rty.dom, Eff)
-                    and reg.has_cap(rty.dom.functor, "applicative")):
-                wrap(Mode("ul", rty.dom.functor),
-                     go(lty, Arrow(rty.dom.inner, rty.cod), b - 1), lambda ty: ty)
-            if (isinstance(lty, Eff) and isinstance(lty.inner, Arrow)
-                    and lty.functor in right_adjoints):
-                r, inner = lty.functor, lty.inner
-                wrap(Mode("el", r),
-                     go(Arrow(inner.dom, Eff(r, inner.cod)), rty, b - 1), lambda ty: ty)
-            if (isinstance(rty, Eff) and isinstance(rty.inner, Arrow)
-                    and rty.functor in right_adjoints):
-                r, inner = rty.functor, rty.inner
-                wrap(Mode("er", r),
-                     go(lty, Arrow(inner.dom, Eff(r, inner.cod)), b - 1), lambda ty: ty)
             # postfix modes shrink existing results; close under chains
             frontier = [(ty, seq) for ty, seqs in out.items() for seq in seqs]
             while frontier:
                 ty, seq = frontier.pop()
                 if len(seq) + 1 > b:
                     continue
-                candidates = []
-                if (isinstance(ty, Eff) and isinstance(ty.inner, Eff)
-                        and ty.functor == ty.inner.functor
-                        and reg.has_cap(ty.functor, "monad")):
-                    candidates.append((Mode("j", ty.functor), ty.inner))
-                if (isinstance(ty, Eff) and ty.inner == Base("t")
-                        and reg.lowering_for(ty.functor) is not None):
-                    candidates.append((Mode("dn"), ty.inner))
-                if isinstance(ty, Eff) and isinstance(ty.inner, Eff):
-                    pair = (ty.functor, ty.inner.functor)
-                    if reg.is_adjunction(*pair):
-                        candidates.append((Mode("c", pair=pair), ty.inner.inner))
-                for mode, res in candidates:
+                for rule in _RULES_AT["postfix"]:
+                    offer = rule.step(reg, ty)
+                    if offer is None:
+                        continue
+                    mode, res = offer
                     if keep(mode, seq):
                         new = (mode,) + seq
                         if add(new, res):
@@ -239,87 +415,30 @@ def enumerate_modes(reg: Registry, left: Ty, right: Ty, budget: int,
 
 
 def replay_modes(reg: Registry, seq, lty: Ty, rty: Ty) -> Ty:
-    """Replay a mode sequence on child types; raises if it does not fit."""
-
-    def fail(m, why):
-        raise ModeError(f"mode {m.render()} does not apply: {why}")
+    """Replay a mode sequence on child types by the rules enumeration
+    uses; raises :class:`ModeError` if it does not fit."""
 
     def go(i, l, r):
+        if i == len(seq):
+            raise ModeError("mode sequence has no base mode")
         m = seq[i]
-        if m.kind in BASE_KINDS:
-            if i != len(seq) - 1:
-                raise ModeError("base mode must be innermost")
-            if m.kind == "fwd":
-                if not (isinstance(l, Arrow) and r == l.dom and _pure(l.dom)):
-                    fail(m, f"({l}, {r})")
-                return l.cod
-            if m.kind == "bwd":
-                if not (isinstance(r, Arrow) and l == r.dom and _pure(r.dom)):
-                    fail(m, f"({l}, {r})")
-                return r.cod
-            if not (isinstance(l, Arrow) and l == r and _pure(l.dom)
-                    and l.cod == Base("t")):
-                fail(m, f"({l}, {r})")
-            return l
-        if m.kind == "ml":
-            if not (isinstance(l, Eff) and l.functor == m.functor):
-                fail(m, str(l))
-            return Eff(m.functor, go(i + 1, l.inner, r))
-        if m.kind == "mr":
-            if not (isinstance(r, Eff) and r.functor == m.functor):
-                fail(m, str(r))
-            return Eff(m.functor, go(i + 1, l, r.inner))
-        if m.kind == "a":
-            reg.require_cap(m.functor, "applicative")
-            if not (isinstance(l, Eff) and isinstance(r, Eff)
-                    and l.functor == r.functor == m.functor):
-                fail(m, f"({l}, {r})")
-            return Eff(m.functor, go(i + 1, l.inner, r.inner))
-        if m.kind == "ur":
-            reg.require_cap(m.functor, "applicative")
-            if not (isinstance(l, Arrow) and isinstance(l.dom, Eff)
-                    and l.dom.functor == m.functor):
-                fail(m, str(l))
-            return go(i + 1, Arrow(l.dom.inner, l.cod), r)
-        if m.kind == "ul":
-            reg.require_cap(m.functor, "applicative")
-            if not (isinstance(r, Arrow) and isinstance(r.dom, Eff)
-                    and r.dom.functor == m.functor):
-                fail(m, str(r))
-            return go(i + 1, l, Arrow(r.dom.inner, r.cod))
-        if m.kind == "el":
-            if not (isinstance(l, Eff) and l.functor == m.functor
-                    and isinstance(l.inner, Arrow)):
-                fail(m, str(l))
-            a = l.inner
-            return go(i + 1, Arrow(a.dom, Eff(m.functor, a.cod)), r)
-        if m.kind == "er":
-            if not (isinstance(r, Eff) and r.functor == m.functor
-                    and isinstance(r.inner, Arrow)):
-                fail(m, str(r))
-            a = r.inner
-            return go(i + 1, l, Arrow(a.dom, Eff(m.functor, a.cod)))
-        if m.kind == "j":
-            reg.require_cap(m.functor, "monad")
+        rule = MODE_RULES[m.kind]
+        if rule.place == "base" and i != len(seq) - 1:
+            raise ModeError("base mode must be innermost")
+        if rule.place == "postfix":
             inner = go(i + 1, l, r)
-            if not (isinstance(inner, Eff) and isinstance(inner.inner, Eff)
-                    and inner.functor == inner.inner.functor == m.functor):
-                fail(m, str(inner))
-            return inner.inner
-        if m.kind == "dn":
-            inner = go(i + 1, l, r)
-            if not (isinstance(inner, Eff) and inner.inner == Base("t")
-                    and reg.lowering_for(inner.functor)):
-                fail(m, str(inner))
-            return inner.inner
-        if m.kind == "c":
-            inner = go(i + 1, l, r)
-            if not (isinstance(inner, Eff) and isinstance(inner.inner, Eff)
-                    and (inner.functor, inner.inner.functor) == m.pair
-                    and reg.is_adjunction(*m.pair)):
-                fail(m, str(inner))
-            return inner.inner.inner
-        raise ModeError(f"unknown mode kind {m.kind}")
+            offer, on = rule.step(reg, inner), inner
+        else:
+            offer, on = rule.step(reg, l, r), f"({l}, {r})"
+        if offer is None or offer[0] != m:
+            raise ModeError(f"mode {m.render()} does not apply: {on}")
+        if rule.place != "wrapper":
+            return offer[1]
+        res = _rewrapped(reg, rule, m, go(i + 1, *offer[1]))
+        if res is None:
+            raise ModeError(f"mode {m.render()} does not apply: "
+                            f"{m.functor} does not wrap the result")
+        return res
 
     if not seq:
         raise ModeError("empty mode sequence")
@@ -397,96 +516,15 @@ def prune(seq, reg: Registry) -> bool:
     list; triple patterns carry a shrinking move (a join on the same
     functor, or any counit) in the middle.
     """
-    for i in range(len(seq) - 1):
-        if _banned_pair(seq[i], seq[i + 1], reg):
-            return False
-    for i in range(len(seq) - 2):
-        if _banned_triple(seq[i], seq[i + 1], seq[i + 2], reg):
-            return False
-    if any(m.kind == "dn" for m in seq) and any(m.kind == "c" for m in seq):
-        return False
-    return True
+    return not any(_banned_prefix(seq[i], seq[i + 1:], reg) for i in range(len(seq)))
 
 
 # -- denotations -------------------------------------------------------------
 
 def mode_denotation(reg: Registry, m: Mode):
     """The figure term for a base mode, or a term transformer for a
-    unary/postfix mode."""
-    V, L, A = T.Var, T.Lam, T.App
-
-    def lam2(f):
-        x, y = T.fresh_var("x"), T.fresh_var("y")
-        return L(x, L(y, f(V(x), V(y))))
-
-    if m.kind == "fwd":
-        return lam2(lambda phi, x: A(phi, x))
-    if m.kind == "bwd":
-        return lam2(lambda x, phi: A(phi, x))
-    if m.kind in ("conj", "disj"):
-        op = T.And if m.kind == "conj" else T.Or
-        p, q, x = (T.fresh_var(s) for s in "pqx")
-        return L(p, L(q, L(x, op(A(V(p), V(x)), A(V(q), V(x))))))
-
-    f = m.functor
-    if m.kind == "a":
-        reg.require_cap(f, "applicative")
-    if m.kind in ("ul", "ur"):
-        reg.require_cap(f, "applicative")
-    if m.kind == "j":
-        reg.require_cap(f, "monad")
-    if m.kind == "c" and not reg.is_adjunction(*m.pair):
-        raise ModeError(f"({m.pair[0]}, {m.pair[1]}) is not a registered adjunction")
-
-    if m.kind == "ml":
-        def tr(M):
-            a = T.fresh_var("a")
-            return lam2(lambda x, y: T.Fmap(f, L(a, A(A(M, V(a)), y)), x))
-        return tr
-    if m.kind == "mr":
-        def tr(M):
-            b = T.fresh_var("b")
-            return lam2(lambda x, y: T.Fmap(f, L(b, A(A(M, x), V(b))), y))
-        return tr
-    if m.kind == "a":
-        def tr(M):
-            a, b = T.fresh_var("a"), T.fresh_var("b")
-            return lam2(lambda x, y: T.ApOp(
-                f, T.Fmap(f, L(a, L(b, A(A(M, V(a)), V(b)))), x), y))
-        return tr
-    if m.kind == "ul":
-        def tr(M):
-            b = T.fresh_var("b")
-            return lam2(lambda x, phi: A(A(M, x), L(b, A(phi, T.Eta(f, V(b))))))
-        return tr
-    if m.kind == "ur":
-        def tr(M):
-            a = T.fresh_var("a")
-            return lam2(lambda phi, y: A(A(M, L(a, A(phi, T.Eta(f, V(a))))), y))
-        return tr
-    if m.kind == "el":
-        def tr(M):
-            return lam2(lambda phi, y: A(A(M, T.Upsilon(f, phi)), y))
-        return tr
-    if m.kind == "er":
-        def tr(M):
-            return lam2(lambda x, phi: A(A(M, x), T.Upsilon(f, phi)))
-        return tr
-    if m.kind == "j":
-        def tr(M):
-            return lam2(lambda x, y: T.Mu(f, A(A(M, x), y)))
-        return tr
-    if m.kind == "dn":
-        def tr(M):
-            return lam2(lambda x, y: T.Lower(A(A(M, x), y)))
-        return tr
-    if m.kind == "c":
-        left, right = m.pair
-
-        def tr(M):
-            return lam2(lambda x, y: T.Eps(left, right, A(A(M, x), y)))
-        return tr
-    raise ModeError(f"unknown mode kind {m.kind}")
+    wrapper/postfix mode."""
+    return MODE_RULES[m.kind].denote(m)
 
 
 # -- derivations -------------------------------------------------------------
@@ -616,10 +654,6 @@ class _BinSrc:
 class Forest:
     n: int
     chart: dict
-    budget_used: dict
-
-    def cells(self):
-        return self.chart
 
     def cell_count(self) -> int:
         return self.n * (self.n + 1) // 2
@@ -688,7 +722,6 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
     n = len(tokens)
     folded = [t.casefold() for t in tokens]
     chart: dict = {(i, j): {} for j in range(1, n + 1) for i in range(j)}
-    budget_used: dict = {}
 
     def add_item(i, j, cat, ty, source):
         cell = chart[(i, j)]
@@ -735,7 +768,6 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
         budget = budget_override or default_budget(lex, span)
         for i in range(n - span + 1):
             j = i + span
-            budget_used[(i, j)] = budget
             cell = chart[(i, j)]
             for k in range(i + 1, j):
                 left_cell = chart.get((i, k), {})
@@ -757,7 +789,7 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
                                     it = _Item(span=(i, j), cat=cat, ty=ty)
                                     cell[(cat, ty)] = it
                                 it.sources.append(src)
-    return Forest(n=n, chart=chart, budget_used=budget_used)
+    return Forest(n=n, chart=chart)
 
 
 def parse(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
@@ -770,6 +802,8 @@ def parse(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
     too: the output can never contain more alternatives than that, so
     larger groups are unreachable anyway.
     """
+    if max_derivations < 1:
+        raise ValueError(f"max_derivations must be at least 1, got {max_derivations}")
     if not tokens:
         return ()
     forest = parse_forest(tokens, lex, syntax=syntax, prune_seqs=prune_seqs,

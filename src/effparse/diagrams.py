@@ -10,7 +10,7 @@ Two normalisation layers exist.  Right (exchange) normalisation bubbles
 independent cells so that the ones further right sit lower; it is the
 canonical representative of the planar-isotopy class.  Equational
 normalisation interleaves exchange with left-to-right passes applying the
-snake cancellation, the (co)monadic unit and associativity laws, and the
+snake cancellation, the monadic unit and associativity laws, and the
 handler-unit law; the combined system is confluent, so diagram equality
 is data equality of normal forms.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import sexpr
-from .combine import Branch, Derivation, Leaf
+from .combine import MODE_RULES, Branch, Derivation, Leaf
 from .typesys import Registry, positive_effects
 
 
@@ -58,10 +58,6 @@ def _cell(pos: int, kind: str, params: tuple) -> TwoCell:
         ins, outs = (), (params[0],)
     elif kind == "mu":
         ins, outs = (params[0], params[0]), (params[0],)
-    elif kind == "coeta":
-        ins, outs = (params[0],), ()
-    elif kind == "comu":
-        ins, outs = (params[0],), (params[0], params[0])
     elif kind == "epsilon":
         ins, outs = (params[0], params[1]), ()
     elif kind == "eta-adj":
@@ -83,14 +79,6 @@ def eta_cell(pos, f):
 
 def mu_cell(pos, f):
     return _cell(pos, "mu", (f,))
-
-
-def coeta_cell(pos, f):
-    return _cell(pos, "coeta", (f,))
-
-
-def comu_cell(pos, f):
-    return _cell(pos, "comu", (f,))
 
 
 def epsilon_cell(pos, left, right):
@@ -202,60 +190,40 @@ def _build(reg, d):
     cells = [replace(c, pos=c.pos + len(bot_r)) for c in cells_l]
     cells += cells_r
     live = live_l + live_r
-    seq = d.modes
 
-    def emit(consumed, kind, params, created):
-        idxs = [live.index(s) for s in consumed]
-        i0 = min(idxs)
-        if sorted(idxs) != list(range(i0, i0 + len(consumed))):
+    def emit(kind, params, pool):
+        """Draw a ``kind`` cell over the first strings of ``pool``; return
+        the pool with those strings replaced by the cell's outputs."""
+        k = len(_cell(0, kind, params).ins)
+        idxs = sorted(live.index(s) for s in pool[:k])
+        i0 = idxs[0]
+        if idxs != list(range(i0, i0 + k)):
             raise PlanarityError(
                 f"mode {kind} must merge adjacent strings; derivation is not planar")
-        ins_word = tuple(live[i].eff for i in range(i0, i0 + len(consumed)))
-        cell = _cell(len(live) - i0 - len(consumed), kind, params)
+        ins_word = tuple(live[i].eff for i in idxs)
+        cell = _cell(len(live) - i0 - k, kind, params)
         if cell.ins != ins_word:
             raise PlanarityError(
                 f"mode {kind} expects strings {cell.ins}, found {ins_word}")
-        live[i0:i0 + len(consumed)] = created
+        created = [_Str(eff) for eff in cell.outs]
+        live[i0:i0 + k] = created
         cells.append(cell)
+        return created + pool[k:]
 
-    def go(idx, wl, wr):
-        m = seq[idx]
-        if m.kind in ("fwd", "bwd", "conj", "disj"):
-            return wl + wr
-        if m.kind == "ml":
-            s, rest = wl[0], wl[1:]
-            return [s] + go(idx + 1, rest, wr)
-        if m.kind == "mr":
-            s, rest = wr[0], wr[1:]
-            return [s] + go(idx + 1, wl, rest)
-        if m.kind == "a":
-            sl, sr = wl[0], wr[0]
-            logical = go(idx + 1, wl[1:], wr[1:])
-            created = _Str(m.functor)
-            emit([sl, sr], "ap", (m.functor,), [created])
-            return [created] + logical
-        if m.kind in ("ul", "ur", "el", "er"):
-            return go(idx + 1, wl, wr)
-        if m.kind == "j":
-            logical = go(idx + 1, wl, wr)
-            s1, s2 = logical[0], logical[1]
-            created = _Str(m.functor)
-            emit([s1, s2] if live.index(s1) < live.index(s2) else [s2, s1],
-                 "mu", (m.functor,), [created])
-            return [created] + logical[2:]
-        if m.kind == "dn":
-            logical = go(idx + 1, wl, wr)
-            s = logical[0]
-            emit([s], "lower", (s.eff,), [])
-            return logical[1:]
-        if m.kind == "c":
-            logical = go(idx + 1, wl, wr)
-            s1, s2 = logical[0], logical[1]
-            emit([s1, s2], "epsilon", m.pair, [])
-            return logical[2:]
-        raise DiagramError(f"unknown mode kind {m.kind}")
-
-    logical = go(0, logical_l, logical_r)
+    # peel the strings each wrapper mode takes off the children, outermost
+    # first, then rebuild the result's strings from the base mode outwards
+    wl, wr, taken = logical_l, logical_r, []
+    for m in d.modes[:-1]:
+        nl, nr = MODE_RULES[m.kind].takes
+        taken.append(wl[:nl] + wr[:nr])
+        wl, wr = wl[nl:], wr[nr:]
+    logical = wl + wr
+    for m, strs in zip(reversed(d.modes[:-1]), reversed(taken)):
+        logical = strs + logical
+        cell = MODE_RULES[m.kind].cell
+        if cell is not None:
+            # DN carries no functor: it lowers whichever effect it finds
+            logical = emit(cell, m.pair or (m.functor or logical[0].eff,), logical)
     # wire runs of same-effect strings without braiding: within a run the
     # strings are indistinguishable, so the physically monotone assignment
     # is the planar-canonical one
@@ -322,10 +290,6 @@ def _match_rule(c1: TwoCell, c2: TwoCell):
     if (c1.kind == "eta" and c2.kind == "mu" and c1.params == c2.params
             and c2.pos in (c1.pos - 1, c1.pos)):
         return ("delete",)
-    # comonadic unit: coeta consuming one output of a duplicate
-    if (c1.kind == "comu" and c2.kind == "coeta" and c1.params == c2.params
-            and c2.pos in (c1.pos, c1.pos + 1)):
-        return ("delete",)
     # handler unit: eta consumed directly by a handler or lowering
     if (c1.kind == "eta" and c2.kind in ("handler", "lower")
             and c2.ins == c1.outs and c2.pos == c1.pos):
@@ -334,10 +298,6 @@ def _match_rule(c1: TwoCell, c2: TwoCell):
     if (c1.kind == "mu" and c2.kind == "mu" and c1.params == c2.params
             and c1.pos == c2.pos + 1):
         return ("assoc", replace(c1, pos=c2.pos), c2)
-    # comonad coassociativity, mirrored
-    if (c1.kind == "comu" and c2.kind == "comu" and c1.params == c2.params
-            and c2.pos == c1.pos + 1):
-        return ("assoc", c1, replace(c2, pos=c1.pos))
     return None
 
 

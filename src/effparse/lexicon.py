@@ -129,7 +129,7 @@ def parse_term(form, line=0) -> T.Term:
         return T.Const(_symbol(items[1], line))
     if head == "set":
         kw = _keywords(items[2:], line)
-        _expect_keys(kw, {":where", ":yield"}, "set", line)
+        _expect_keys(kw, {":where", ":yield"}, set(), "set", line)
         return T.SetBuilder(_symbol(items[1], line),
                             parse_term(kw[":where"], line),
                             parse_term(kw[":yield"], line))
@@ -266,10 +266,13 @@ def _keywords(items, line) -> dict:
     return kw
 
 
-def _expect_keys(kw, required, what, line):
+def _expect_keys(kw, required, optional, what, line):
     missing = required - kw.keys()
     if missing:
         raise LanguageParseError(f"{what} is missing {sorted(missing)}", line)
+    unknown = kw.keys() - required - optional
+    if unknown:
+        raise LanguageParseError(f"{what} has unknown keys {sorted(unknown)}", line)
 
 
 def _bool(x, line) -> bool:
@@ -332,6 +335,7 @@ def _parse_functor(form, reg) -> FunctorDef:
     line = form.line
     name = _symbol(form.items[1], line)
     kw = _keywords(form.items[2:], line)
+    _expect_keys(kw, set(), {":caps", ":commutative", ":applies-to"}, "functor", line)
     caps = frozenset()
     if ":caps" in kw:
         node = kw[":caps"]
@@ -346,7 +350,6 @@ def _parse_functor(form, reg) -> FunctorDef:
         capabilities=caps,
         commutative=_bool(kw[":commutative"], line) if ":commutative" in kw else False,
         applies_to=applies,
-        external=_bool(kw[":external"], line) if ":external" in kw else False,
     )
 
 
@@ -354,7 +357,7 @@ def _parse_nat(form) -> NatDef:
     line = form.line
     name = _symbol(form.items[1], line)
     kw = _keywords(form.items[2:], line)
-    _expect_keys(kw, {":from", ":to", ":handler", ":impl"}, "nat", line)
+    _expect_keys(kw, {":from", ":to", ":handler", ":impl"}, {":default"}, "nat", line)
     src = tuple(_symbol(f, line) for f in kw[":from"].items)
     tgt = tuple(_symbol(f, line) for f in kw[":to"].items)
     default = parse_term(kw[":default"], line) if ":default" in kw else None
@@ -370,7 +373,7 @@ def _parse_word(form, reg) -> LexEntry:
         raise LanguageParseError("word needs a quoted surface", line)
     surface = form.items[1].value
     kw = _keywords(form.items[2:], line)
-    _expect_keys(kw, {":type", ":term"}, f'word "{surface}"', line)
+    _expect_keys(kw, {":type", ":term"}, {":cat"}, f'word "{surface}"', line)
     try:
         ty = parse_type(kw[":type"], reg, line)
         term = parse_term(kw[":term"], line)
@@ -420,8 +423,6 @@ def language_to_text(lex: Lexicon) -> str:
             form += [":applies-to", "*"]
         else:
             form += [":applies-to", type_to_sexpr(f.applies_to[0])]
-        if f.external:
-            form += [":external", "true"]
         out.append(sexpr.unparse(tuple(form)))
     for left, right in reg.adjunctions():
         out.append(sexpr.unparse(("adjunction", left, right)))

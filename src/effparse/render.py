@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .combine import Branch, Derivation, Leaf, derivation_term, render_modes
 from .lambda_eval import EvalError, eval_term
+from .model import ModelError
 from .values import render as render_value
 
 
@@ -17,7 +18,7 @@ def derivation_to_text(reg, d: Derivation, model=None, indent: str = "") -> str:
             return None
         try:
             return render_value(eval_term(derivation_term(reg, node), {}, model, reg))
-        except EvalError as exc:
+        except (EvalError, ModelError) as exc:
             return f"<error: {exc}>"
 
     def walk(node, depth):
@@ -53,7 +54,7 @@ def derivation_to_dot(reg, d: Derivation, model=None) -> str:
             return None
         try:
             return render_value(eval_term(derivation_term(reg, node), {}, model, reg))
-        except EvalError:
+        except (EvalError, ModelError):
             return None
 
     def esc(s: str) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 EffectId = str
 
-CAPABILITIES = ("functor", "applicative", "monad", "comonad")
+CAPABILITIES = ("functor", "applicative", "monad")
 
 
 class TypeSysError(Exception):
@@ -126,7 +126,7 @@ class FunctorDef:
     ``applies_to`` is the set of admissible argument types: ``None`` means
     every well-formed type is admissible, otherwise only the listed types
     match (structurally).  ``commutative`` is meaningful only together with
-    the monad capability.  ``external`` marks sentence-level constructs.
+    the monad capability.
     """
 
     id: EffectId
@@ -134,7 +134,6 @@ class FunctorDef:
     commutative: bool = False
     adjoint_right: EffectId | None = None
     applies_to: tuple | None = None
-    external: bool = False
 
     def __post_init__(self):
         caps = self.capabilities
@@ -145,8 +144,6 @@ class FunctorDef:
             raise RegistryError(f"functor {self.id}: applicative requires functor")
         if "monad" in caps and "applicative" not in caps:
             raise RegistryError(f"functor {self.id}: monad requires applicative")
-        if "comonad" in caps and "functor" not in caps:
-            raise RegistryError(f"functor {self.id}: comonad requires functor")
         if self.commutative and "monad" not in caps:
             raise RegistryError(f"functor {self.id}: commutative is meaningful only for monads")
 

@@ -4,9 +4,10 @@ Plain data (booleans, entities, pairs, finite sets, optionals, entity
 sequences) compares structurally.  Function-like carriers (closures,
 readers, state transformers, continuations) compare extensionally over a
 finite probe domain derived from the model: all entities, both booleans,
-characteristic predicates over entity subsets, and every assignment/state
-sequence of length at most two.  That truncation makes value equality
-decidable at desk scale, which the law suites rely on.
+characteristic predicates of entity subsets (every subset on models of at
+most five entities, singletons and their complements on larger ones), and
+every assignment/state sequence of length at most two.  That truncation
+makes value equality decidable at desk scale, which the law suites rely on.
 """
 
 from __future__ import annotations
@@ -215,14 +216,20 @@ def probe_sequences(model: Model) -> tuple:
 
 def probe_continuations(model: Model) -> tuple:
     """Constant continuations, boolean passthrough, and characteristic
-    predicates of every entity subset (entity domains are tiny)."""
+    predicates of entity subsets: every subset on models of at most five
+    entities, else each singleton and its complement, which still tell a
+    universal from an existential continuation."""
     conts = [lambda v: B(True), lambda v: B(False),
              lambda v: v if isinstance(v, B) else B(False)]
     ents = model.entities
     if len(ents) <= 5:
-        for mask in range(1 << len(ents)):
-            chosen = frozenset(e for i, e in enumerate(ents) if mask >> i & 1)
-            conts.append(lambda v, s=chosen: B(isinstance(v, E) and v.name in s))
+        subsets = [frozenset(e for i, e in enumerate(ents) if mask >> i & 1)
+                   for mask in range(1 << len(ents))]
+    else:
+        subsets = [frozenset([e]) for e in ents]
+        subsets += [frozenset(ents) - s for s in subsets]
+    for chosen in subsets:
+        conts.append(lambda v, s=chosen: B(isinstance(v, E) and v.name in s))
     return tuple(conts)
 
 

@@ -11,7 +11,10 @@ CFG = str(ROOT / "data" / "english.cfg")
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -62,6 +65,30 @@ def test_language_semantic_error_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--language", str(bad), "--model", MODEL)
     assert code == 3
     assert "dog" in err
+
+
+@pytest.mark.parametrize("limit", [("--max-derivations", "0"), ("--budget", "-3")])
+def test_nonpositive_limit_is_a_usage_error_exit_2(capsys, limit):
+    code, out, err = run(capsys, *base("eval", *limit), "the cat sleeps")
+    assert code == 2
+    assert limit[0] in err and "at least 1" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", [("eval",), ("parse", "--eval"),
+                                     ("parse", "--eval", "--render", "dot")])
+def test_missing_model_predicate_is_a_per_derivation_error(capsys, tmp_path, command):
+    model = tmp_path / "sleepless.model"
+    model.write_text("".join(line + "\n" for line in
+                             pathlib.Path(MODEL).read_text().splitlines()
+                             if not line.startswith("(pred sleep ")))
+    code, out, err = run(capsys, *command, "--language", LANG, "--model", str(model),
+                         "--syntax", CFG, "the cat sleeps")
+    assert code == 0
+    assert "derivation 0: M t" in out
+    if "dot" not in command:
+        assert "<error: predicate sleep" in out
+    assert "Traceback" not in out + err
 
 
 def test_check_ok(capsys):

@@ -3,16 +3,26 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from effparse import terms as T
-from effparse.combine import (Branch, Leaf, Mode, UnknownTokenError,
-                              derivation_term, enumerate_modes, mode_count,
-                              mode_denotation, parse, parse_forest, parse_modes,
-                              prune, render_modes, replay_modes)
+from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
+                              UnknownTokenError, derivation_term, enumerate_modes,
+                              mode_count, mode_denotation, parse, parse_forest,
+                              parse_mode, parse_modes, prune, render_modes,
+                              replay_modes)
 from effparse.lambda_eval import eval_term, join
-from effparse.lexicon import load_language_text, language_to_text
+from effparse.lexicon import load_language, load_language_text, language_to_text
 from effparse.typesys import Arrow, Base, Eff
 from effparse.values import SetV, E, values_equal
 
+from .conftest import DATA
+
 e, t = Base("e"), Base("t")
+
+SENTENCES = ("the cat sleeps", "the cat eats a mouse", "a cat in a box",
+             "no cat sleeps", "everyone eats jupiter", "it sleeps",
+             "jupiter , a planet sleeps", "a box in a mouse be carnivorous",
+             "the cat in a box eats it", "a cat in a box in a box in a box",
+             "jupiter eats no skillful mouse", "it eats a mouse in the box",
+             "everyone chases the mouse")
 
 
 def seqs_with_type(results, ty):
@@ -57,6 +67,17 @@ def test_enumerated_sequences_replay_to_their_type(registry, data):
         assert replay_modes(registry, seq, lty, rty) == ty
 
 
+def test_replay_rejects_internalising_a_non_adjoint(registry):
+    # M is no right adjoint, so EL_M does not apply, as in enumeration
+    with pytest.raises(ModeError):
+        replay_modes(registry, parse_modes("EL_M >"), Eff("M", Arrow(e, t)), e)
+
+
+def test_replay_rejects_sequences_without_a_base_mode(registry):
+    with pytest.raises(ModeError):
+        replay_modes(registry, parse_modes("ML_M"), Eff("M", e), Arrow(e, t))
+
+
 # -- prune --------------------------------------------------------------------
 
 def test_prune_blocks_ml_join_mr(registry):
@@ -85,6 +106,22 @@ def test_prune_unit_right_after_strip(registry):
 
 def test_prune_dn_with_counit(registry):
     assert prune(parse_modes("DN C_P:G >"), registry) is False
+
+
+def test_pruned_enumeration_equals_post_filtering(syntax):
+    """The pruning rules are local, so filtering inside the recursion keeps
+    exactly the sequences that filtering afterwards keeps."""
+    lex = load_language(DATA / "english.lang")  # a fresh combination cache
+    reg = lex.registry
+    for sent in SENTENCES:
+        parse(sent.split(), lex)
+        parse(sent.split(), lex, syntax=syntax)
+    pairs = {(key[0], key[1]) for key in reg._combo_cache}
+    assert len(pairs) > 200
+    for lty, rty in pairs:
+        unpruned = enumerate_modes(reg, lty, rty, budget=6)
+        assert enumerate_modes(reg, lty, rty, budget=6, pruned=True) == {
+            (seq, ty) for seq, ty in unpruned if prune(seq, reg)}
 
 
 # -- mode denotations ----------------------------------------------------------
@@ -150,6 +187,11 @@ def test_parse_unknown_token(english):
 
 def test_parse_empty_input(english):
     assert parse([], english) == ()
+
+
+def test_parse_rejects_nonpositive_derivation_cap(english):
+    with pytest.raises(ValueError):
+        parse("the cat sleeps".split(), english, max_derivations=0)
 
 
 def test_parse_appositive_multi_token(english):
@@ -248,6 +290,20 @@ def test_tree_box_denotation(english, solar):
         outcomes = _run_state(v, SeqV(()))
         got_sets.append({pr.left.name for pr in outcomes.elems})
     assert wanted in got_sets
+
+
+def test_every_mode_kind_roundtrips():
+    assert sorted(MODE_RULES) == sorted("fwd bwd conj disj ml mr a ul ur el er j dn c".split())
+    index = {None: {}, "functor": {"functor": "M"}, "pair": {"pair": ("P", "G")}}
+    for kind, rule in MODE_RULES.items():
+        m = Mode(kind, **index[rule.indexed_by])
+        assert parse_mode(m.render()) == m
+
+
+@pytest.mark.parametrize("text", ["DN_M", "ML", "C_P", "FWD", "ml_M", "X_M"])
+def test_parse_mode_rejects_malformed(text):
+    with pytest.raises(ModeError):
+        parse_mode(text)
 
 
 def test_mode_string_roundtrip(english):

@@ -73,6 +73,15 @@ def test_eval_is_deterministic(english, solar):
     assert values_equal(a, b, solar)
 
 
+def test_values_equal_tells_forall_from_exists_past_five_entities(solar):
+    # solar.model has six entities, more than the full subset probe covers
+    assert len(solar.entities) > 5
+    ents = [E(x) for x in solar.entities]
+    every = ContV(lambda c: B(all(c(x).value for x in ents)))
+    some = ContV(lambda c: B(any(c(x).value for x in ents)))
+    assert not values_equal(every, some, solar)
+
+
 # -- per-carrier operation examples ------------------------------------------
 
 def test_fmap_maybe_preserves_absent(registry):

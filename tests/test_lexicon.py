@@ -3,7 +3,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from effparse.lambda_eval import eta, run_handler
-from effparse.lexicon import (LanguageSemanticError, Lexicon, language_to_text,
+from effparse.lexicon import (LanguageParseError, LanguageSemanticError, Lexicon,
+                              language_to_text,
                               load_language_text, load_model_text, model_to_text)
 from effparse.typesys import Arrow, Base, Eff, deep_effect_count
 from effparse.values import B, E, values_equal
@@ -55,6 +56,15 @@ def test_undeclared_adjoint_rejected():
     bad = MINI + "(adjunction M Q)\n"
     with pytest.raises(LanguageSemanticError, match="Q"):
         load_language_text(bad)
+
+
+@pytest.mark.parametrize("form", [
+    "(functor Q :caps (functor) :external true)",
+    '(word "dog" :type (-> e t) :term (lam x (pred dog x)) :kind N)',
+])
+def test_unknown_keyword_rejected(form):
+    with pytest.raises(LanguageParseError, match="unknown keys"):
+        load_language_text(MINI + form + "\n")
 
 
 def test_max_effect_rank_counts_deep_effects(english):
