@@ -19,6 +19,7 @@ construction.  Unpacking a packed forest is capped and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import sexpr
 from . import terms as T
@@ -317,6 +318,7 @@ def _nodes(ty: Ty) -> int:
     return 0
 
 
+@lru_cache(maxsize=4096)
 def _structural_cap(lty: Ty, rty: Ty) -> int:
     return 2 * (_nodes(lty) + _nodes(rty)) + 2
 
@@ -626,6 +628,11 @@ def load_syntax(path) -> SyntaxCFG:
 
 @dataclass
 class _Item:
+    """A chart item.  Each of its ``sources`` is a ``_LeafSrc`` or a packed
+    back-pointer ``(seqs, left, right)``: every mode sequence in ``seqs``
+    combines the two child items into this item's type.  Back-pointers are
+    plain tuples because a long sentence makes thousands of them."""
+
     span: tuple
     cat: object
     ty: Ty
@@ -638,16 +645,6 @@ class _Item:
 @dataclass(frozen=True)
 class _LeafSrc:
     entry: LexEntry
-
-
-@dataclass(frozen=True)
-class _BinSrc:
-    """One packed back-pointer: every mode sequence in ``seqs`` combines
-    the two child items into this item's type."""
-
-    seqs: tuple
-    left: _Item
-    right: _Item
 
 
 @dataclass
@@ -686,18 +683,18 @@ def _unpack(item: _Item, limit: int, memo: dict):
     out = []
     leaf_srcs = sorted((s for s in item.sources if isinstance(s, _LeafSrc)),
                        key=lambda s: s.entry.surface)
-    bin_srcs = sorted((s for s in item.sources if isinstance(s, _BinSrc)),
-                      key=lambda s: (render_modes(s.seqs[0]), s.left.key(), s.right.key()))
+    bin_srcs = sorted((s for s in item.sources if not isinstance(s, _LeafSrc)),
+                      key=lambda s: (render_modes(s[0][0]), s[1].key(), s[2].key()))
     for src in leaf_srcs:
         out.append(Leaf(src.entry))
         if len(out) >= limit:
             break
-    for src in bin_srcs:
+    for seqs, left, right in bin_srcs:
         if len(out) >= limit:
             break
-        for seq in src.seqs:
-            for l in _unpack(src.left, limit, memo):
-                for r in _unpack(src.right, limit, memo):
+        for seq in seqs:
+            for l in _unpack(left, limit, memo):
+                for r in _unpack(right, limit, memo):
                     out.append(Branch(item.ty, seq, l, r))
                     if len(out) >= limit:
                         break
@@ -754,35 +751,39 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
     sorted_targets: dict = {}
 
     def targets_for(lcat, rcat):
-        if syntax is None:
-            return (None,)
-        key = (lcat, rcat)
-        hit = sorted_targets.get(key)
-        if hit is None:
-            raw = syntax.binary.get(key, frozenset())
-            hit = tuple(sorted(raw, key=str))
-            sorted_targets[key] = hit
+        raw = (None,) if syntax is None else syntax.binary.get((lcat, rcat), ())
+        hit = sorted_targets[(lcat, rcat)] = tuple(sorted(raw, key=str))
         return hit
 
+    # one object per result type: equal types are then identical, and chart
+    # lookups never compare deep types structurally
+    types: dict = {}
     for span in range(2, n + 1):
         budget = budget_override or default_budget(lex, span)
+        # one budget per span, so equal type pairs get equal combinations;
+        # item types stay alive in the chart, so their ids are stable keys
+        span_combos: dict = {}
         for i in range(n - span + 1):
             j = i + span
             cell = chart[(i, j)]
             for k in range(i + 1, j):
-                left_cell = chart.get((i, k), {})
-                right_cell = chart.get((k, j), {})
-                for (lcat, lty), litem in left_cell.items():
-                    for (rcat, rty), ritem in right_cell.items():
-                        targets = targets_for(lcat, rcat)
+                right_items = chart[(k, j)].items()
+                for (lcat, lty), litem in chart[(i, k)].items():
+                    for (rcat, rty), ritem in right_items:
+                        targets = sorted_targets.get((lcat, rcat))
+                        if targets is None:
+                            targets = targets_for(lcat, rcat)
                         if not targets:
                             continue
-                        combos = modes_by_type(reg, lty, rty, budget,
-                                               pruned=prune_seqs, seq_cap=seq_cap)
-                        if not combos:
-                            continue
-                        for ty, seqs in combos.items():
-                            src = _BinSrc(seqs, litem, ritem)
+                        pair = (id(lty), id(rty))
+                        combos = span_combos.get(pair)
+                        if combos is None:
+                            found = modes_by_type(reg, lty, rty, budget,
+                                                  pruned=prune_seqs, seq_cap=seq_cap)
+                            combos = span_combos[pair] = [
+                                (types.setdefault(ty, ty), seqs) for ty, seqs in found.items()]
+                        for ty, seqs in combos:
+                            src = (seqs, litem, ritem)
                             for cat in targets:
                                 it = cell.get((cat, ty))
                                 if it is None:

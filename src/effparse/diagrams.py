@@ -6,7 +6,7 @@ the count of strings strictly to its right at its input interface, plus
 the effect words it consumes and produces.  Validity is a single
 bottom-up scan of interfaces.
 
-Two normalisation layers exist.  Right (exchange) normalisation bubbles
+Two normalisation layers exist.  Right (exchange) normalisation sinks
 independent cells so that the ones further right sit lower; it is the
 canonical representative of the planar-isotopy class.  Equational
 normalisation interleaves exchange with left-to-right passes applying the
@@ -17,7 +17,8 @@ is data equality of normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import sexpr
 from .combine import MODE_RULES, Branch, Derivation, Leaf
@@ -32,28 +33,22 @@ class PlanarityError(DiagramError):
     """A derivation routes effects in a way no planar diagram realises."""
 
 
-@dataclass(frozen=True)
-class TwoCell:
+class TwoCell(NamedTuple):
     pos: int
     kind: str
     params: tuple
     ins: tuple
     outs: tuple
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.pos, self.kind, self.params))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def render(self) -> str:
         inside = " ".join(self.params)
         return f"{self.kind}({inside})@{self.pos}"
 
 
+@lru_cache(maxsize=1 << 14)
 def _cell(pos: int, kind: str, params: tuple) -> TwoCell:
+    """The cell of a kind at a position.  Cells are immutable values, so
+    the same one is handed out for equal arguments."""
     if kind == "eta":
         ins, outs = (), (params[0],)
     elif kind == "mu":
@@ -101,18 +96,9 @@ def lower_cell(pos, f):
     return _cell(pos, "lower", (f,))
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     inputs: tuple
     nodes: tuple
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.inputs, self.nodes))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     @property
     def node_count(self) -> int:
@@ -143,13 +129,16 @@ def validate(d: Diagram) -> bool:
 
 
 def first_violation(d: Diagram):
-    word = list(d.inputs)
+    word = tuple(d.inputs)
     for n, c in enumerate(d.nodes):
-        try:
-            i = _block_start(word, c)
-        except DiagramError as exc:
-            return f"node {n}: {exc}"
-        word[i:i + len(c.ins)] = list(c.outs)
+        k = len(c.ins)
+        i = len(word) - c.pos - k
+        if i < 0 or c.pos < 0 or word[i:i + k] != c.ins:
+            try:
+                _block_start(list(word), c)
+            except DiagramError as exc:
+                return f"node {n}: {exc}"
+        word = word[:i] + c.outs + word[i + k:]
     return None
 
 
@@ -187,7 +176,7 @@ def _build(reg, d):
         raise DiagramError(f"not a derivation: {d!r}")
     cells_l, live_l, logical_l, bot_l = _build(reg, d.left)
     cells_r, live_r, logical_r, bot_r = _build(reg, d.right)
-    cells = [replace(c, pos=c.pos + len(bot_r)) for c in cells_l]
+    cells = [_cell(c.pos + len(bot_r), c.kind, c.params) for c in cells_l]
     cells += cells_r
     live = live_l + live_r
 
@@ -247,7 +236,7 @@ def _can_swap(lower: TwoCell, upper: TwoCell) -> bool:
     A creating cell (no inputs) touching a purely consuming cell (no
     outputs) at the same position is exchangeable in both directions; the
     consumer-below orientation is the canonical representative, so that
-    direction never swaps (otherwise bubbling would oscillate).
+    direction never swaps (otherwise exchanging would oscillate).
     """
     if upper.pos + len(upper.ins) > lower.pos:
         return False
@@ -259,22 +248,32 @@ def _can_swap(lower: TwoCell, upper: TwoCell) -> bool:
 def _swap(lower: TwoCell, upper: TwoCell):
     """Exchange two independent cells; the one moving down keeps its
     position, the one moving up re-counts the other's string delta."""
-    moved_up = replace(lower, pos=lower.pos + len(upper.outs) - len(upper.ins))
+    moved_up = _cell(lower.pos + len(upper.outs) - len(upper.ins), lower.kind, lower.params)
     return upper, moved_up
 
 
 def right_normalize(d: Diagram) -> Diagram:
     if first_violation(d) is not None:
         raise DiagramError(f"cannot normalise an invalid diagram: {first_violation(d)}")
-    nodes = list(d.nodes)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(nodes) - 1):
-            if _can_swap(nodes[i], nodes[i + 1]):
-                nodes[i], nodes[i + 1] = _swap(nodes[i], nodes[i + 1])
-                changed = True
-    return Diagram(inputs=d.inputs, nodes=tuple(nodes))
+    return Diagram(d.inputs, _exchange_sort(d.nodes))
+
+
+def _exchange_sort(nodes, start: int = 0) -> tuple:
+    """The exchange-normal order of the cells of a valid diagram whose
+    first ``start`` cells are already in that order.
+
+    Each later cell sinks past every cell below it that it commutes with.
+    A swap moves the cells it passes by the same string delta, so their
+    relative order stays normal and one insertion pass suffices.  The
+    cells are trusted to be valid: callers check the diagram first, and
+    the equational rules preserve validity.
+    """
+    nodes = list(nodes)
+    for j in range(start, len(nodes)):
+        while j > 0 and _can_swap(nodes[j - 1], nodes[j]):
+            nodes[j - 1], nodes[j] = _swap(nodes[j - 1], nodes[j])
+            j -= 1
+    return tuple(nodes)
 
 
 # -- equational reduction -----------------------------------------------------
@@ -297,7 +296,7 @@ def _match_rule(c1: TwoCell, c2: TwoCell):
     # monad associativity, left-nested to right-nested
     if (c1.kind == "mu" and c2.kind == "mu" and c1.params == c2.params
             and c1.pos == c2.pos + 1):
-        return ("assoc", replace(c1, pos=c2.pos), c2)
+        return ("assoc", _cell(c2.pos, c1.kind, c1.params), c2)
     return None
 
 
@@ -323,22 +322,22 @@ def _one_pass(nodes: list) -> int:
 def eq_normalize(d: Diagram, stats: dict | None = None) -> Diagram:
     """Alternate exchange normalisation with equational passes until no
     rule applies; the result is the unique equational normal form."""
-    d = right_normalize(d)
+    nodes = right_normalize(d).nodes
     total = 0
-    guard = 4 * (d.node_count + 1) * (d.node_count + 1) + 8
+    guard = 4 * (len(nodes) + 1) * (len(nodes) + 1) + 8
     while True:
-        nodes = list(d.nodes)
-        applied = _one_pass(nodes)
+        work = list(nodes)
+        applied = _one_pass(work)
         if applied == 0:
             break
         total += applied
-        d = right_normalize(Diagram(inputs=d.inputs, nodes=tuple(nodes)))
+        nodes = _exchange_sort(work)
         guard -= 1
         if guard <= 0:
             raise DiagramError("equational normalisation failed to terminate")
     if stats is not None:
         stats["reductions"] = stats.get("reductions", 0) + total
-    return d
+    return Diagram(d.inputs, nodes)
 
 
 def diagrams_equal(a: Diagram, b: Diagram) -> bool:
@@ -349,26 +348,21 @@ def diagrams_equal(a: Diagram, b: Diagram) -> bool:
 
 # -- exhaustive reduction oracle ---------------------------------------------
 
-def _steps_of_normal(d: Diagram):
-    """Single equational steps on an already exchange-normal diagram."""
-    out = []
-    nodes = d.nodes
+def _reducts(nodes: tuple):
+    """(rule, index, cells after the step) for every single equational
+    step on an exchange-normal cell tuple.  The cells below ``index`` are
+    untouched, so they stay exchange-normal."""
     for i in range(len(nodes) - 1):
         m = _match_rule(nodes[i], nodes[i + 1])
-        if m is None:
-            continue
-        if m[0] == "delete":
-            new = nodes[:i] + nodes[i + 2:]
-        else:
-            new = nodes[:i] + (m[1], m[2]) + nodes[i + 2:]
-        out.append((f"{m[0]}@{i}", Diagram(inputs=d.inputs, nodes=new)))
-    return out
+        if m is not None:
+            yield m[0], i, nodes[:i] + m[1:] + nodes[i + 2:]
 
 
 def applicable_reductions(d: Diagram):
     """Every single equational step applicable to the exchange-normal form
     of ``d``; used by the confluence oracle, not by the normaliser."""
-    return _steps_of_normal(right_normalize(d))
+    d = right_normalize(d)
+    return [(f"{rule}@{i}", Diagram(d.inputs, new)) for rule, i, new in _reducts(d.nodes)]
 
 
 def all_normal_forms(d: Diagram, _memo=None) -> frozenset:
@@ -383,13 +377,12 @@ def _anf(d: Diagram, memo) -> frozenset:
     if hit is not None:
         return hit
     memo[d] = frozenset()  # cycle guard
-    steps = _steps_of_normal(d)
-    if not steps:
+    result, stepped = frozenset(), False
+    for _, i, new in _reducts(d.nodes):
+        result |= _anf(Diagram(d.inputs, _exchange_sort(new, i)), memo)
+        stepped = True
+    if not stepped:
         result = frozenset([d])
-    else:
-        result = frozenset()
-        for _, nxt in steps:
-            result |= _anf(right_normalize(nxt), memo)
     memo[d] = result
     return result
 
@@ -424,32 +417,25 @@ def enumerate_diagrams(input_words, max_cells, menu=None, up_to_exchange=False):
     reordering of independent cells).
     """
     menu = cell_menu() if menu is None else menu
+    shapes = [(kind, params, _cell(0, kind, params).ins) for kind, params in menu]
 
-    def extensions(word):
-        for kind, params in menu:
-            probe = _cell(0, kind, params)
-            k = len(probe.ins)
-            if k == 0:
-                for i in range(len(word) + 1):
-                    yield _cell(len(word) - i, kind, params)
-            else:
-                for i in range(len(word) - k + 1):
-                    if tuple(word[i:i + k]) == probe.ins:
-                        yield _cell(len(word) - i - k, kind, params)
-
-    def grow(word, cells):
-        yield Diagram(inputs=tuple(word0), nodes=tuple(cells))
+    def grow(inputs, word, cells):
+        yield Diagram(inputs, cells)
         if len(cells) >= max_cells:
             return
-        for cell in extensions(word):
-            if up_to_exchange and cells and _can_swap(cells[-1], cell):
-                continue
-            i = len(word) - cell.pos - len(cell.ins)
-            nxt = word[:i] + list(cell.outs) + word[i + len(cell.ins):]
-            yield from grow(nxt, cells + [cell])
+        n = len(word)
+        for kind, params, ins in shapes:
+            k = len(ins)
+            for i in range(n - k + 1):
+                if word[i:i + k] != ins:
+                    continue
+                cell = _cell(n - i - k, kind, params)
+                if up_to_exchange and cells and _can_swap(cells[-1], cell):
+                    continue
+                yield from grow(inputs, word[:i] + cell.outs + word[i + k:], cells + (cell,))
 
     for word0 in input_words:
-        yield from grow(list(word0), [])
+        yield from grow(tuple(word0), tuple(word0), ())
 
 
 # -- serialization -------------------------------------------------------------

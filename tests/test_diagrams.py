@@ -107,6 +107,26 @@ def test_exchange_is_idempotent_and_valid():
     assert nf.nodes[0].params == ("F2",)
 
 
+def test_exchange_normal_form_is_where_adjacent_swaps_stop():
+    """The single insertion pass of ``right_normalize`` agrees with
+    swapping adjacent independent cells until no swap applies."""
+    from effparse.diagrams import _can_swap, _swap
+    words = [(), ("F1",), ("F1", "F2"), ("L", "R"), ("R",)]
+    count = 0
+    for d in enumerate_diagrams(words, max_cells=3, menu=cell_menu(lowerings=("F2",))):
+        nodes = list(d.nodes)
+        swapped = True
+        while swapped:
+            swapped = False
+            for i in range(len(nodes) - 1):
+                if _can_swap(nodes[i], nodes[i + 1]):
+                    nodes[i], nodes[i + 1] = _swap(nodes[i], nodes[i + 1])
+                    swapped = True
+        assert right_normalize(d).nodes == tuple(nodes)
+        count += 1
+    assert count > 8000
+
+
 # -- equational reduction ----------------------------------------------------------
 
 def test_snake_cancels_to_empty():
