@@ -19,7 +19,6 @@ construction.  Unpacking a packed forest is capped and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import sexpr
 from . import terms as T
@@ -318,7 +317,6 @@ def _nodes(ty: Ty) -> int:
     return 0
 
 
-@lru_cache(maxsize=4096)
 def _structural_cap(lty: Ty, rty: Ty) -> int:
     return 2 * (_nodes(lty) + _nodes(rty)) + 2
 
@@ -715,6 +713,9 @@ def default_budget(lex: Lexicon, span: int) -> int:
 def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
                  prune_seqs: bool = True, budget_override: int | None = None,
                  seq_cap: int | None = None) -> Forest:
+    for name, limit in (("budget_override", budget_override), ("seq_cap", seq_cap)):
+        if limit is not None and limit < 1:
+            raise ValueError(f"{name} must be at least 1, got {limit}")
     reg = lex.registry
     n = len(tokens)
     folded = [t.casefold() for t in tokens]
@@ -751,28 +752,27 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
     sorted_targets: dict = {}
 
     def targets_for(lcat, rcat):
-        raw = (None,) if syntax is None else syntax.binary.get((lcat, rcat), ())
-        hit = sorted_targets[(lcat, rcat)] = tuple(sorted(raw, key=str))
+        hit = sorted_targets.get((lcat, rcat))
+        if hit is None:
+            raw = (None,) if syntax is None else syntax.binary.get((lcat, rcat), ())
+            hit = sorted_targets[(lcat, rcat)] = tuple(sorted(raw, key=str))
         return hit
 
     # one object per result type: equal types are then identical, and chart
     # lookups never compare deep types structurally
     types: dict = {}
     for span in range(2, n + 1):
-        budget = budget_override or default_budget(lex, span)
+        budget = default_budget(lex, span) if budget_override is None else budget_override
         # one budget per span, so equal type pairs get equal combinations;
         # item types stay alive in the chart, so their ids are stable keys
         span_combos: dict = {}
         for i in range(n - span + 1):
             j = i + span
-            cell = chart[(i, j)]
             for k in range(i + 1, j):
                 right_items = chart[(k, j)].items()
                 for (lcat, lty), litem in chart[(i, k)].items():
                     for (rcat, rty), ritem in right_items:
-                        targets = sorted_targets.get((lcat, rcat))
-                        if targets is None:
-                            targets = targets_for(lcat, rcat)
+                        targets = targets_for(lcat, rcat)
                         if not targets:
                             continue
                         pair = (id(lty), id(rty))
@@ -785,11 +785,7 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
                         for ty, seqs in combos:
                             src = (seqs, litem, ritem)
                             for cat in targets:
-                                it = cell.get((cat, ty))
-                                if it is None:
-                                    it = _Item(span=(i, j), cat=cat, ty=ty)
-                                    cell[(cat, ty)] = it
-                                it.sources.append(src)
+                                add_item(i, j, cat, ty, src)
     return Forest(n=n, chart=chart)
 
 

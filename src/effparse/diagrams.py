@@ -48,7 +48,9 @@ class TwoCell(NamedTuple):
 @lru_cache(maxsize=1 << 14)
 def _cell(pos: int, kind: str, params: tuple) -> TwoCell:
     """The cell of a kind at a position.  Cells are immutable values, so
-    the same one is handed out for equal arguments."""
+    the same one is handed out for equal arguments.  Distinct cells are
+    few (the 6-cell confluence sweep of acceptance criterion 5 makes 88),
+    so the bound only caps unusual inputs."""
     if kind == "eta":
         ins, outs = (), (params[0],)
     elif kind == "mu":
@@ -105,40 +107,43 @@ class Diagram(NamedTuple):
         return len(self.nodes)
 
     def output_word(self) -> tuple:
-        word = list(self.inputs)
+        word = tuple(self.inputs)
         for c in self.nodes:
-            i = _block_start(word, c)
-            word[i:i + len(c.ins)] = list(c.outs)
-        return tuple(word)
+            word = _apply(word, c)
+        return word
 
 
-def _block_start(word, cell: TwoCell) -> int:
-    """Leftmost index of the consumed block; raises on mismatch."""
+def _apply(word: tuple, cell: TwoCell) -> tuple:
+    """The word above ``cell`` placed on ``word``; raises on mismatch."""
     k = len(cell.ins)
     i = len(word) - cell.pos - k
     if i < 0 or cell.pos < 0:
         raise DiagramError(f"cell {cell.render()} falls off the word {word}")
-    if tuple(word[i:i + k]) != cell.ins:
-        raise DiagramError(
-            f"cell {cell.render()} expects {cell.ins}, word has {tuple(word[i:i + k])}")
-    return i
+    if word[i:i + k] != cell.ins:
+        raise DiagramError(f"cell {cell.render()} expects {cell.ins}, word has {word[i:i + k]}")
+    return word[:i] + cell.outs + word[i + k:]
 
 
 def validate(d: Diagram) -> bool:
     return first_violation(d) is None
 
 
+def _checked(d: Diagram, fault: str) -> Diagram:
+    """``d`` itself; raises ``DiagramError`` prefixed by ``fault`` if it is
+    invalid."""
+    bad = first_violation(d)
+    if bad is not None:
+        raise DiagramError(f"{fault}: {bad}")
+    return d
+
+
 def first_violation(d: Diagram):
     word = tuple(d.inputs)
     for n, c in enumerate(d.nodes):
-        k = len(c.ins)
-        i = len(word) - c.pos - k
-        if i < 0 or c.pos < 0 or word[i:i + k] != c.ins:
-            try:
-                _block_start(list(word), c)
-            except DiagramError as exc:
-                return f"node {n}: {exc}"
-        word = word[:i] + c.outs + word[i + k:]
+        try:
+            word = _apply(word, c)
+        except DiagramError as exc:
+            return f"node {n}: {exc}"
     return None
 
 
@@ -161,11 +166,8 @@ def from_derivation(reg: Registry, d: Derivation) -> Diagram:
     so none of them shows up as a cell.
     """
     cells, live, logical, bottom = _build(reg, d)
-    dg = Diagram(inputs=tuple(s.eff for s in bottom), nodes=tuple(cells))
-    bad = first_violation(dg)
-    if bad is not None:
-        raise DiagramError(f"internal construction fault: {bad}")
-    return dg
+    return _checked(Diagram(inputs=tuple(s.eff for s in bottom), nodes=tuple(cells)),
+                    "internal construction fault")
 
 
 def _build(reg, d):
@@ -253,8 +255,7 @@ def _swap(lower: TwoCell, upper: TwoCell):
 
 
 def right_normalize(d: Diagram) -> Diagram:
-    if first_violation(d) is not None:
-        raise DiagramError(f"cannot normalise an invalid diagram: {first_violation(d)}")
+    _checked(d, "cannot normalise an invalid diagram")
     return Diagram(d.inputs, _exchange_sort(d.nodes))
 
 
@@ -264,9 +265,9 @@ def _exchange_sort(nodes, start: int = 0) -> tuple:
 
     Each later cell sinks past every cell below it that it commutes with.
     A swap moves the cells it passes by the same string delta, so their
-    relative order stays normal and one insertion pass suffices.  The
-    cells are trusted to be valid: callers check the diagram first, and
-    the equational rules preserve validity.
+    relative order stays normal and one insertion pass suffices.  Nothing
+    is checked here: callers check the diagram they start from and the
+    normal form they end at.
     """
     nodes = list(nodes)
     for j in range(start, len(nodes)):
@@ -337,7 +338,7 @@ def eq_normalize(d: Diagram, stats: dict | None = None) -> Diagram:
             raise DiagramError("equational normalisation failed to terminate")
     if stats is not None:
         stats["reductions"] = stats.get("reductions", 0) + total
-    return Diagram(d.inputs, nodes)
+    return _checked(Diagram(d.inputs, nodes), "equational normalisation broke the diagram")
 
 
 def diagrams_equal(a: Diagram, b: Diagram) -> bool:
@@ -372,17 +373,19 @@ def all_normal_forms(d: Diagram, _memo=None) -> frozenset:
     return _anf(right_normalize(d), _memo)
 
 
-def _anf(d: Diagram, memo) -> frozenset:
+def _anf(d: Diagram, memo, rewritten: bool = False) -> frozenset:
+    """``rewritten``: ``d`` came from a reduction step, so it is checked
+    if it is a normal form; the entry diagram was checked already."""
     hit = memo.get(d)
     if hit is not None:
         return hit
     memo[d] = frozenset()  # cycle guard
     result, stepped = frozenset(), False
     for _, i, new in _reducts(d.nodes):
-        result |= _anf(Diagram(d.inputs, _exchange_sort(new, i)), memo)
+        result |= _anf(Diagram(d.inputs, _exchange_sort(new, i)), memo, True)
         stepped = True
     if not stepped:
-        result = frozenset([d])
+        result = frozenset([_checked(d, "reduction broke the diagram") if rewritten else d])
     memo[d] = result
     return result
 

@@ -194,6 +194,13 @@ def test_parse_rejects_nonpositive_derivation_cap(english):
         parse("the cat sleeps".split(), english, max_derivations=0)
 
 
+@pytest.mark.parametrize("limit", [{"seq_cap": 0}, {"budget_override": 0},
+                                   {"budget_override": -3}])
+def test_parse_forest_rejects_nonpositive_limits(english, limit):
+    with pytest.raises(ValueError):
+        parse_forest("the cat sleeps".split(), english, **limit)
+
+
 def test_parse_appositive_multi_token(english):
     derivs = parse("jupiter , a planet".split(), english, max_derivations=64)
     assert any(d.ty == Eff("W", e) for d in derivs)

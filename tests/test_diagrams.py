@@ -184,6 +184,25 @@ def test_boundaries_preserved_by_normalisation():
     assert nf.output_word() == d.output_word()
 
 
+def test_unsound_rewrite_is_reported(monkeypatch):
+    """A rewrite that breaks the interfaces is caught by the check on the
+    normal form, in the normaliser and in the oracle alike."""
+    from effparse import diagrams
+
+    def off_the_word(c1, c2):
+        if c1.kind == "mu" and c2.kind == "mu" and c1.pos == c2.pos + 1:
+            return ("assoc", mu_cell(c1.pos + 5, "F1"), c2)
+        return None
+
+    monkeypatch.setattr(diagrams, "_match_rule", off_the_word)
+    left_nested = Diagram(inputs=("F1", "F1", "F1"),
+                          nodes=(mu_cell(1, "F1"), mu_cell(0, "F1")))
+    with pytest.raises(DiagramError, match="broke the diagram"):
+        eq_normalize(left_nested)
+    with pytest.raises(DiagramError, match="broke the diagram"):
+        all_normal_forms(left_nested)
+
+
 # -- equality --------------------------------------------------------------------
 
 def test_equal_up_to_exchange():
