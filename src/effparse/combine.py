@@ -19,6 +19,7 @@ construction.  Unpacking a packed forest is capped and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import sexpr
 from . import terms as T
@@ -562,11 +563,22 @@ def derivation_term(reg: Registry, d: Derivation) -> T.Term:
                  derivation_term(reg, d.right))
 
 
-def derivation_key(d: Derivation):
-    if isinstance(d, Leaf):
-        return ("L", d.entry.surface, str(d.entry.ty))
-    return ("B", str(d.ty), render_modes(d.modes),
-            derivation_key(d.left), derivation_key(d.right))
+def derivation_key(d: Derivation, memo: dict | None = None):
+    """Sort key of a derivation: type, mode string, then the left and right
+    subtrees.  ``memo`` maps ``id(node)`` to its key, so a subtree shared by
+    many derivations is keyed once; its nodes must stay alive while it is
+    in use."""
+    if memo is None:
+        memo = {}
+    key = memo.get(id(d))
+    if key is None:
+        if isinstance(d, Leaf):
+            key = ("L", d.entry.surface, str(d.entry.ty))
+        else:
+            key = ("B", str(d.ty), render_modes(d.modes),
+                   derivation_key(d.left, memo), derivation_key(d.right, memo))
+        memo[id(d)] = key
+    return key
 
 
 def mode_count(d: Derivation) -> int:
@@ -636,7 +648,9 @@ class _Item:
     ty: Ty
     sources: list = field(default_factory=list)
 
+    @cached_property
     def key(self):
+        """Sort key; span, category and type never change once made."""
         return (self.span, "" if self.cat is None else str(self.cat), str(self.ty))
 
 
@@ -665,11 +679,12 @@ class Forest:
 
     def derivations(self, limit: int = 64):
         memo: dict = {}
-        roots = sorted(self.root_items(), key=lambda it: it.key())
+        roots = sorted(self.root_items(), key=lambda it: it.key)
         out = []
         for item in roots:
             out.extend(_unpack(item, limit, memo))
-        out.sort(key=derivation_key)
+        keys: dict = {}  # every node stays alive in ``out``, so ids are stable
+        out.sort(key=lambda d: derivation_key(d, keys))
         return tuple(out[:limit])
 
 
@@ -682,7 +697,7 @@ def _unpack(item: _Item, limit: int, memo: dict):
     leaf_srcs = sorted((s for s in item.sources if isinstance(s, _LeafSrc)),
                        key=lambda s: s.entry.surface)
     bin_srcs = sorted((s for s in item.sources if not isinstance(s, _LeafSrc)),
-                      key=lambda s: (render_modes(s[0][0]), s[1].key(), s[2].key()))
+                      key=lambda s: (render_modes(s[0][0]), s[1].key, s[2].key))
     for src in leaf_srcs:
         out.append(Leaf(src.entry))
         if len(out) >= limit:

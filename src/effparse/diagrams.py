@@ -86,10 +86,6 @@ def eta_adj_cell(pos, left, right):
     return _cell(pos, "eta-adj", (left, right))
 
 
-def ap_cell(pos, f):
-    return _cell(pos, "ap", (f,))
-
-
 def handler_cell(pos, name, f):
     return _cell(pos, "handler", (name, f))
 

@@ -8,18 +8,21 @@ from .model import ModelError
 from .values import render as render_value
 
 
+def _value_text(reg, node: Derivation, model):
+    """The node's evaluated value as text, ``<error: ...>`` when evaluation
+    fails, or None without a model."""
+    if model is None:
+        return None
+    try:
+        return render_value(eval_term(derivation_term(reg, node), {}, model, reg))
+    except (EvalError, ModelError) as exc:
+        return f"<error: {exc}>"
+
+
 def derivation_to_text(reg, d: Derivation, model=None, indent: str = "") -> str:
     """Indented tree; per node: type, mode string, and (with a model) the
     evaluated value."""
     lines = []
-
-    def value_of(node):
-        if model is None:
-            return None
-        try:
-            return render_value(eval_term(derivation_term(reg, node), {}, model, reg))
-        except (EvalError, ModelError) as exc:
-            return f"<error: {exc}>"
 
     def walk(node, depth):
         pad = indent + "  " * depth
@@ -27,13 +30,13 @@ def derivation_to_text(reg, d: Derivation, model=None, indent: str = "") -> str:
             label = f"{pad}{node.entry.surface} : {node.entry.ty}"
             if node.entry.category:
                 label += f"  [{node.entry.category}]"
-            v = value_of(node)
+            v = _value_text(reg, node, model)
             if v is not None:
                 label += f"  = {v}"
             lines.append(label)
             return
         label = f"{pad}{node.ty}  [{render_modes(node.modes)}]"
-        v = value_of(node)
+        v = _value_text(reg, node, model)
         if v is not None:
             label += f"  = {v}"
         lines.append(label)
@@ -49,14 +52,6 @@ def derivation_to_dot(reg, d: Derivation, model=None) -> str:
              '  node [shape=box, fontname="monospace"];']
     counter = [0]
 
-    def value_of(node):
-        if model is None:
-            return None
-        try:
-            return render_value(eval_term(derivation_term(reg, node), {}, model, reg))
-        except (EvalError, ModelError):
-            return None
-
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -67,7 +62,7 @@ def derivation_to_dot(reg, d: Derivation, model=None) -> str:
             parts = [node.entry.surface, str(node.entry.ty)]
         else:
             parts = [str(node.ty), render_modes(node.modes)]
-        v = value_of(node)
+        v = _value_text(reg, node, model)
         if v is not None:
             parts.append(v)
         label = "\\n".join(esc(p) for p in parts)

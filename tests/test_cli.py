@@ -86,8 +86,7 @@ def test_missing_model_predicate_is_a_per_derivation_error(capsys, tmp_path, com
                          "--syntax", CFG, "the cat sleeps")
     assert code == 0
     assert "derivation 0: M t" in out
-    if "dot" not in command:
-        assert "<error: predicate sleep" in out
+    assert "<error: predicate sleep" in out
     assert "Traceback" not in out + err
 
 

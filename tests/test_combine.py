@@ -4,10 +4,10 @@ import hypothesis.strategies as st
 
 from effparse import terms as T
 from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
-                              UnknownTokenError, derivation_term, enumerate_modes,
-                              mode_count, mode_denotation, parse, parse_forest,
-                              parse_mode, parse_modes, prune, render_modes,
-                              replay_modes)
+                              UnknownTokenError, _unpack, derivation_term,
+                              enumerate_modes, mode_count, mode_denotation, parse,
+                              parse_forest, parse_mode, parse_modes, prune,
+                              render_modes, replay_modes)
 from effparse.lambda_eval import eval_term, join
 from effparse.lexicon import load_language, load_language_text, language_to_text
 from effparse.typesys import Arrow, Base, Eff
@@ -264,6 +264,31 @@ def test_unpacking_cap_and_determinism(english):
     derivs_big = parse("the cat eats a mouse".split(), english, max_derivations=64)
     assert len(derivs_small) == 3
     assert list(derivs_small) == list(derivs_big[:3])
+
+
+def _reference_key(d):
+    if isinstance(d, Leaf):
+        return ("L", d.entry.surface, str(d.entry.ty))
+    return ("B", str(d.ty), render_modes(d.modes),
+            _reference_key(d.left), _reference_key(d.right))
+
+
+@pytest.mark.parametrize("with_syntax,ks", [(False, range(1, 7)), (True, range(1, 8))])
+def test_derivation_order_is_the_key_order(english, syntax, with_syntax, ks):
+    """``Forest.derivations(N)``: each root item's first N derivations in
+    packed-source order, sorted by type, mode string, left and right
+    subtree, cut to N."""
+    for k in ks:
+        tokens = ("a cat" + " in a box" * k).split()
+        forest = parse_forest(tokens, english, syntax=syntax if with_syntax else None,
+                              seq_cap=64)
+        roots = sorted(forest.root_items(),
+                       key=lambda it: ("" if it.cat is None else str(it.cat), str(it.ty)))
+        memo: dict = {}
+        reference = [d for it in roots for d in _unpack(it, 64, memo)]
+        reference.sort(key=_reference_key)
+        got = forest.derivations(64)
+        assert list(got) == reference[:64], k
 
 
 def test_chart_cell_count_closed_form(english):
