@@ -2,27 +2,23 @@
 
 Evaluation is deterministic and left-to-right; quantifiers and set
 builders range over the model's entities; predicates read the model's
-extensions.  Each registered effect functor is backed by a value carrier:
-
-    G  reader over assignments          ReaderV
-    W  writer with (t, and, true)       PairV(value, B)
-    S  finite nondeterminism            SetV
-    C  continuation into truth values   ContV
-    D  state over discourse sequences   StateV (state -> set of pairs)
-    M  optionality with absent #        MaybeV
-    P  pairing with an assignment       PairV(value, SeqV)
-
-``P`` is the left adjoint of ``G``; the counit applies the reader inside
-a pair to the paired assignment.  Functors registered under other names
-type-check and appear in diagrams but have no runtime carrier, and
-evaluating them raises.
+extensions.  Each registered effect functor is backed by the value
+carrier that ``CARRIERS`` defines for its name.  ``P`` is the left
+adjoint of ``G``; the counit applies the reader inside a pair to the
+paired assignment.  Functors registered under other names type-check and
+appear in diagrams but have no runtime carrier, and evaluating them
+raises.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from . import terms as T
 from .model import Model
-from .typesys import CapabilityError, NatDef, Registry, UnknownEffectError
+from .typesys import (Arrow, CapabilityError, Eff, NatDef, Prod, Registry,
+                      UnknownEffectError)
 from .values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
                      SetV, StateV, Value, render, structural_key)
 
@@ -158,42 +154,18 @@ def eval_term(term, env: dict, model: Model, reg: Registry):
 
 def _coerce(functor: str, v):
     """Wrap a literal carrier term's value as the proper carrier."""
-    if isinstance(v, Fn):
-        if functor == "G":
-            return ReaderV(v.run)
-        if functor == "D":
-            run = v.run
-
-            def run_state(s, _run=run):
-                out = _run(s)
-                if not isinstance(out, SetV):
-                    raise ShapeError("a state carrier must yield a set of outcomes")
-                return out
-            return StateV(run_state)
-        if functor == "C":
-            def run_cont(c, _run=v.run):
-                return _run(Fn(c, label="cont"))
-            return ContV(run_cont)
+    c = CARRIERS.get(functor)
+    if isinstance(v, Fn) and c is not None and c.coerce is not None:
+        return c.coerce(v)
     return v
 
 
-# -- carrier shape checks ------------------------------------------------
-
-_CARRIER_CLASS = {"G": ReaderV, "W": PairV, "S": SetV, "C": ContV,
-                  "D": StateV, "M": MaybeV, "P": PairV}
-
+# -- carriers ------------------------------------------------------------
 
 def _expect(f: str, v, cls):
     if not isinstance(v, cls):
         raise ShapeError(f"value {render(v)} is not a {f}-carrier")
     return v
-
-
-def check_shape(f: str, v) -> None:
-    cls = _CARRIER_CLASS.get(f)
-    if cls is None:
-        raise UnknownEffectError(f"functor {f} has no runtime carrier")
-    _expect(f, v, cls)
 
 
 def _run_state(v, s):
@@ -206,98 +178,142 @@ def _run_state(v, s):
     return out
 
 
+@dataclass(frozen=True)
+class Carrier:
+    """The runtime carrier of one effect functor.
+
+    ``fmap(fn, v)`` and ``join(vv)`` take a value already checked against
+    ``cls``; ``eta(v)`` takes any value.  ``literal(reg, a)`` is the type a
+    literal term of type ``F a`` is checked against, and ``coerce`` wraps
+    the closure such a literal evaluates to.  A field left ``None`` is an
+    operation the carrier does not have.
+    """
+
+    cls: type
+    fmap: Callable
+    eta: Callable | None = None
+    join: Callable | None = None
+    literal: Callable | None = None
+    coerce: Callable | None = None
+
+
+def _fmap_pair(fn, p):
+    return PairV(apply_value(fn, p.left), p.right)
+
+
+def _join_writer(outer):
+    inner = _expect("W", outer.left, PairV)
+    p, q = _as_bool(outer.right), _as_bool(inner.right)
+    return PairV(inner.left, B(p and q))
+
+
+def _fmap_state(fn, st):
+    # writes pass through unmapped: mapping them too would break the
+    # monad unit law on the full carrier
+    def run(s):
+        return SetV(PairV(apply_value(fn, pr.left), pr.right)
+                    for pr in _run_state(st, s).elems)
+    return StateV(run)
+
+
+def _join_state(st):
+    def run(s):
+        out = []
+        for pr in _run_state(st, s).elems:
+            out.extend(_run_state(pr.left, pr.right).elems)
+        return SetV(out)
+    return StateV(run)
+
+
+def _state_type(reg, a):
+    s = reg.base_type("s")
+    return Arrow(s, Eff("S", Prod(a, s)))
+
+
+def _coerce_state(fn):
+    def run(s):
+        out = fn.run(s)
+        if not isinstance(out, SetV):
+            raise ShapeError("a state carrier must yield a set of outcomes")
+        return out
+    return StateV(run)
+
+
+CARRIERS = {
+    # reader over assignments
+    "G": Carrier(ReaderV,
+                 fmap=lambda fn, r: ReaderV(lambda g: apply_value(fn, r.run(g))),
+                 eta=lambda v: ReaderV(lambda g: v),
+                 join=lambda r: ReaderV(
+                     lambda g: _expect("G", r.run(g), ReaderV).run(g)),
+                 literal=lambda reg, a: Arrow(reg.base_type("g"), a),
+                 coerce=lambda fn: ReaderV(fn.run)),
+    # writer with (t, and, true)
+    "W": Carrier(PairV, fmap=_fmap_pair, eta=lambda v: PairV(v, B(True)),
+                 join=_join_writer,
+                 literal=lambda reg, a: Prod(a, reg.base_type("t"))),
+    # finite nondeterminism
+    "S": Carrier(SetV,
+                 fmap=lambda fn, s: SetV(apply_value(fn, x) for x in s.elems),
+                 eta=lambda v: SetV([v]),
+                 join=lambda s: SetV(y for x in s.elems
+                                     for y in _expect("S", x, SetV).elems)),
+    # continuation into truth values
+    "C": Carrier(ContV,
+                 fmap=lambda fn, k: ContV(
+                     lambda c: k.run(lambda a: c(apply_value(fn, a)))),
+                 eta=lambda v: ContV(lambda c: c(v)),
+                 join=lambda k: ContV(
+                     lambda c: k.run(lambda m: _expect("C", m, ContV).run(c))),
+                 literal=lambda reg, a: Arrow(Arrow(a, reg.base_type("t")),
+                                              reg.base_type("t")),
+                 coerce=lambda fn: ContV(lambda c: fn.run(Fn(c, label="cont")))),
+    # state over discourse sequences: state -> set of (value, state) pairs
+    "D": Carrier(StateV, fmap=_fmap_state,
+                 eta=lambda v: StateV(lambda s: SetV([PairV(v, s)])),
+                 join=_join_state, literal=_state_type, coerce=_coerce_state),
+    # optionality with absent #
+    "M": Carrier(MaybeV,
+                 fmap=lambda fn, m: (m if m.absent
+                                     else MaybeV(apply_value(fn, m.payload))),
+                 eta=MaybeV,
+                 join=lambda m: m if m.absent else _expect("M", m.payload, MaybeV)),
+    # pairing with an assignment
+    "P": Carrier(PairV, fmap=_fmap_pair,
+                 literal=lambda reg, a: Prod(a, reg.base_type("g"))),
+}
+
+
+def _carrier(f: str, op: str) -> Carrier:
+    """The carrier of ``f``; raises when it lacks the operation ``op``."""
+    c = CARRIERS.get(f)
+    if c is None or getattr(c, op) is None:
+        raise UnknownEffectError(f"functor {f} has no runtime carrier")
+    return c
+
+
+def check_shape(f: str, v) -> None:
+    _expect(f, v, _carrier(f, "cls").cls)
+
+
 # -- functor operations --------------------------------------------------
 
 def fmap_apply(reg: Registry, f: str, fn, v):
     """Map a function over an effectful value, per carrier."""
     reg.require_cap(f, "functor")
-    if f == "G":
-        r = _expect(f, v, ReaderV)
-        return ReaderV(lambda g: apply_value(fn, r.run(g)))
-    if f == "W":
-        p = _expect(f, v, PairV)
-        return PairV(apply_value(fn, p.left), p.right)
-    if f == "P":
-        p = _expect(f, v, PairV)
-        return PairV(apply_value(fn, p.left), p.right)
-    if f == "S":
-        s = _expect(f, v, SetV)
-        return SetV(apply_value(fn, x) for x in s.elems)
-    if f == "C":
-        k = _expect(f, v, ContV)
-        return ContV(lambda c: k.run(lambda a: c(apply_value(fn, a))))
-    if f == "M":
-        m = _expect(f, v, MaybeV)
-        if m.absent:
-            return m
-        return MaybeV(apply_value(fn, m.payload))
-    if f == "D":
-        st = _expect(f, v, StateV)
-
-        # writes pass through unmapped: mapping them too would break the
-        # monad unit law on the full carrier
-        def run(s):
-            return SetV(PairV(apply_value(fn, pr.left), pr.right)
-                        for pr in _run_state(st, s).elems)
-        return StateV(run)
-    raise UnknownEffectError(f"functor {f} has no runtime carrier")
+    c = _carrier(f, "fmap")
+    return c.fmap(fn, _expect(f, v, c.cls))
 
 
 def eta(reg: Registry, f: str, v):
     reg.require_cap(f, "applicative")
-    if f == "G":
-        return ReaderV(lambda g: v)
-    if f == "W":
-        return PairV(v, B(True))
-    if f == "S":
-        return SetV([v])
-    if f == "C":
-        return ContV(lambda c: c(v))
-    if f == "M":
-        return MaybeV(v)
-    if f == "D":
-        return StateV(lambda s: SetV([PairV(v, s)]))
-    raise UnknownEffectError(f"functor {f} has no runtime carrier")
+    return _carrier(f, "eta").eta(v)
 
 
 def join(reg: Registry, f: str, vv):
     reg.require_cap(f, "monad")
-    if f == "G":
-        r = _expect(f, vv, ReaderV)
-
-        def run(g):
-            inner = _expect(f, r.run(g), ReaderV)
-            return inner.run(g)
-        return ReaderV(run)
-    if f == "W":
-        outer = _expect(f, vv, PairV)
-        inner = _expect(f, outer.left, PairV)
-        p, q = _as_bool(outer.right), _as_bool(inner.right)
-        return PairV(inner.left, B(p and q))
-    if f == "S":
-        s = _expect(f, vv, SetV)
-        out = []
-        for x in s.elems:
-            out.extend(_expect(f, x, SetV).elems)
-        return SetV(out)
-    if f == "C":
-        k = _expect(f, vv, ContV)
-        return ContV(lambda c: k.run(lambda m: _expect(f, m, ContV).run(c)))
-    if f == "M":
-        m = _expect(f, vv, MaybeV)
-        if m.absent:
-            return m
-        return _expect(f, m.payload, MaybeV)
-    if f == "D":
-        st = _expect(f, vv, StateV)
-
-        def run(s):
-            out = []
-            for pr in _run_state(st, s).elems:
-                out.extend(_run_state(pr.left, pr.right).elems)
-            return SetV(out)
-        return StateV(run)
-    raise UnknownEffectError(f"functor {f} has no runtime carrier")
+    c = _carrier(f, "join")
+    return c.join(_expect(f, vv, c.cls))
 
 
 def ap(reg: Registry, f: str, vf, vx):

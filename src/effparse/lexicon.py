@@ -15,7 +15,7 @@ are seeded into the chart over their full span by the parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import sexpr
 from . import terms as T
@@ -94,6 +94,22 @@ def type_to_sexpr(ty: Ty):
     raise TypeSysError(f"not a type: {ty!r}")
 
 
+# each regular term head: its class and its arguments in field order,
+# "s" for a symbol and "t" for a subterm
+TERM_HEADS = {
+    "lam": (T.Lam, "st"), "app": (T.App, "tt"), "pair": (T.Pair, "tt"),
+    "const": (T.Const, "s"), "if": (T.If, "ttt"),
+    "forall": (T.Forall, "st"), "exists": (T.Exists, "st"),
+    "not": (T.Not, "t"), "and": (T.And, "tt"), "or": (T.Or, "tt"),
+    "eq": (T.Eq, "tt"), "push": (T.Push, "tt"),
+    "fmap": (T.Fmap, "stt"), "eta": (T.Eta, "st"), "mu": (T.Mu, "st"),
+    "ap": (T.ApOp, "stt"), "eps": (T.Eps, "sst"),
+    "upsilon": (T.Upsilon, "st"), "lower": (T.Lower, "t"),
+    "handler": (T.ApplyNat, "st"),
+}
+_HEAD_OF = {cls: (head, kinds) for head, (cls, kinds) in TERM_HEADS.items()}
+
+
 def parse_term(form, line=0) -> T.Term:
     if isinstance(form, str):
         if form == "true":
@@ -105,145 +121,50 @@ def parse_term(form, line=0) -> T.Term:
         raise LanguageParseError(f"bad term {sexpr.unparse(form)}", line)
     items, line = form.items, form.line
     head = items[0]
-
-    def arity(n):
-        if len(items) != n + 1:
-            raise LanguageParseError(f"{head} expects {n} arguments", line)
-
-    if head == "lam":
-        arity(2)
-        return T.Lam(_symbol(items[1], line), parse_term(items[2], line))
-    if head == "app":
-        arity(2)
-        return T.App(parse_term(items[1], line), parse_term(items[2], line))
-    if head == "pair":
-        arity(2)
-        return T.Pair(parse_term(items[1], line), parse_term(items[2], line))
+    spec = TERM_HEADS.get(head)
+    if spec is not None:
+        cls, kinds = spec
+        if len(items) != len(kinds) + 1:
+            raise LanguageParseError(f"{head} expects {len(kinds)} arguments", line)
+        return cls(*(_symbol(x, line) if k == "s" else parse_term(x, line)
+                     for k, x in zip(kinds, items[1:])))
     if head == "pred":
         if len(items) < 2:
             raise LanguageParseError("pred needs a name", line)
         return T.Pred(_symbol(items[1], line),
                       tuple(parse_term(a, line) for a in items[2:]))
-    if head == "const":
-        arity(1)
-        return T.Const(_symbol(items[1], line))
     if head == "set":
         kw = _keywords(items[2:], line)
         _expect_keys(kw, {":where", ":yield"}, set(), "set", line)
         return T.SetBuilder(_symbol(items[1], line),
                             parse_term(kw[":where"], line),
                             parse_term(kw[":yield"], line))
-    if head == "if":
-        arity(3)
-        return T.If(*(parse_term(x, line) for x in items[1:]))
-    if head == "forall":
-        arity(2)
-        return T.Forall(_symbol(items[1], line), parse_term(items[2], line))
-    if head == "exists":
-        arity(2)
-        return T.Exists(_symbol(items[1], line), parse_term(items[2], line))
-    if head == "not":
-        arity(1)
-        return T.Not(parse_term(items[1], line))
-    if head == "and":
-        arity(2)
-        return T.And(parse_term(items[1], line), parse_term(items[2], line))
-    if head == "or":
-        arity(2)
-        return T.Or(parse_term(items[1], line), parse_term(items[2], line))
-    if head == "eq":
-        arity(2)
-        return T.Eq(parse_term(items[1], line), parse_term(items[2], line))
-    if head == "push":
-        arity(2)
-        return T.Push(parse_term(items[1], line), parse_term(items[2], line))
     if head == "idx":
-        arity(2)
+        if len(items) != 3:
+            raise LanguageParseError("idx expects 2 arguments", line)
         if not isinstance(items[2], int):
             raise LanguageParseError("idx expects a literal position", line)
         return T.Idx(parse_term(items[1], line), items[2])
-    if head == "fmap":
-        arity(3)
-        return T.Fmap(_symbol(items[1], line), parse_term(items[2], line),
-                      parse_term(items[3], line))
-    if head == "eta":
-        arity(2)
-        return T.Eta(_symbol(items[1], line), parse_term(items[2], line))
-    if head == "mu":
-        arity(2)
-        return T.Mu(_symbol(items[1], line), parse_term(items[2], line))
-    if head == "ap":
-        arity(3)
-        return T.ApOp(_symbol(items[1], line), parse_term(items[2], line),
-                      parse_term(items[3], line))
-    if head == "eps":
-        arity(3)
-        return T.Eps(_symbol(items[1], line), _symbol(items[2], line),
-                     parse_term(items[3], line))
-    if head == "upsilon":
-        arity(2)
-        return T.Upsilon(_symbol(items[1], line), parse_term(items[2], line))
-    if head == "lower":
-        arity(1)
-        return T.Lower(parse_term(items[1], line))
-    if head == "handler":
-        arity(2)
-        return T.ApplyNat(_symbol(items[1], line), parse_term(items[2], line))
     raise LanguageParseError(f"unknown term head {head}", line)
 
 
 def term_to_sexpr(term: T.Term):
     tts = term_to_sexpr
+    spec = _HEAD_OF.get(type(term))
+    if spec is not None:
+        head, kinds = spec
+        args = (getattr(term, f.name) for f in fields(term))
+        return (head, *(x if k == "s" else tts(x) for k, x in zip(kinds, args)))
     if isinstance(term, T.Var):
         return term.name
     if isinstance(term, T.BoolLit):
         return "true" if term.value else "false"
-    if isinstance(term, T.Lam):
-        return ("lam", term.param, tts(term.body))
-    if isinstance(term, T.App):
-        return ("app", tts(term.fn), tts(term.arg))
-    if isinstance(term, T.Pair):
-        return ("pair", tts(term.left), tts(term.right))
     if isinstance(term, T.Pred):
         return ("pred", term.name, *map(tts, term.args))
-    if isinstance(term, T.Const):
-        return ("const", term.entity)
     if isinstance(term, T.SetBuilder):
         return ("set", term.var, ":where", tts(term.guard), ":yield", tts(term.yields))
-    if isinstance(term, T.If):
-        return ("if", tts(term.cond), tts(term.then), tts(term.other))
-    if isinstance(term, T.Forall):
-        return ("forall", term.var, tts(term.body))
-    if isinstance(term, T.Exists):
-        return ("exists", term.var, tts(term.body))
-    if isinstance(term, T.Not):
-        return ("not", tts(term.arg))
-    if isinstance(term, T.And):
-        return ("and", tts(term.left), tts(term.right))
-    if isinstance(term, T.Or):
-        return ("or", tts(term.left), tts(term.right))
-    if isinstance(term, T.Eq):
-        return ("eq", tts(term.left), tts(term.right))
-    if isinstance(term, T.Push):
-        return ("push", tts(term.item), tts(term.seq))
     if isinstance(term, T.Idx):
         return ("idx", tts(term.seq), term.index)
-    if isinstance(term, T.Fmap):
-        return ("fmap", term.functor, tts(term.fn), tts(term.arg))
-    if isinstance(term, T.Eta):
-        return ("eta", term.functor, tts(term.arg))
-    if isinstance(term, T.Mu):
-        return ("mu", term.functor, tts(term.arg))
-    if isinstance(term, T.ApOp):
-        return ("ap", term.functor, tts(term.fn), tts(term.arg))
-    if isinstance(term, T.Eps):
-        return ("eps", term.left, term.right, tts(term.arg))
-    if isinstance(term, T.Upsilon):
-        return ("upsilon", term.functor, tts(term.fn))
-    if isinstance(term, T.Lower):
-        return ("lower", tts(term.arg))
-    if isinstance(term, T.ApplyNat):
-        return ("handler", term.name, tts(term.arg))
     if isinstance(term, T.Coerce):
         return tts(term.body)
     raise LanguageParseError(f"cannot serialize {term!r}")

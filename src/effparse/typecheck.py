@@ -12,7 +12,8 @@ are checked at evaluation time, not here.
 from __future__ import annotations
 
 from . import terms as T
-from .typesys import Arrow, Base, Eff, Prod, Registry, Ty
+from .lambda_eval import CARRIERS
+from .typesys import Arrow, Eff, MalformedTypeError, Prod, Registry, Ty
 
 
 class TypeCheckError(Exception):
@@ -21,23 +22,13 @@ class TypeCheckError(Exception):
 
 def _carrier_expansion(reg: Registry, ty: Eff):
     """The literal carrier type of an effect type, when expressible."""
-    f, inner = ty.functor, ty.inner
-    try:
-        if f == "G":
-            return Arrow(reg.base_type("g"), inner)
-        if f == "D":
-            s = reg.base_type("s")
-            return Arrow(s, Eff("S", Prod(inner, s)))
-        if f == "C":
-            t = reg.base_type("t")
-            return Arrow(Arrow(inner, t), t)
-        if f == "W":
-            return Prod(inner, reg.base_type("t"))
-        if f == "P":
-            return Prod(inner, reg.base_type("g"))
-    except Exception:
+    c = CARRIERS.get(ty.functor)
+    if c is None or c.literal is None:
         return None
-    return None
+    try:
+        return c.literal(reg, ty.inner)
+    except MalformedTypeError:
+        return None
 
 
 def check_term(reg: Registry, term: T.Term, ty: Ty, env: dict | None = None) -> T.Term:

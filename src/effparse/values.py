@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .model import Model
+from .model import Model, ModelError
+from .typesys import TypeSysError
 
 
 class ValueError_(Exception):
@@ -275,10 +276,12 @@ def values_equal(a, b, model: Model, depth: int = 0) -> bool:
 
 
 def _probed(f, x):
-    """Apply a probe; collapse any evaluation error to a comparable token."""
+    """Apply a probe; collapse an evaluation error to a comparable token."""
+    from .lambda_eval import EvalError
     try:
         return f(x)
-    except Exception as exc:  # noqa: BLE001 - probes may be ill-typed on purpose
+    except (EvalError, ModelError, TypeSysError, ValueError_) as exc:
+        # probes may be ill-typed on purpose
         return f"!{type(exc).__name__}"
 
 

@@ -5,9 +5,10 @@ import hypothesis.strategies as st
 from effparse import terms as T
 from effparse.combine import derivation_term, parse
 from effparse.lambda_eval import (EvalError, ShapeError, adjunction_unit, ap,
-                                  apply_nat, apply_value, counit, eta,
-                                  eval_term, fmap_apply, join, lower,
+                                  apply_nat, apply_value, check_shape, counit,
+                                  eta, eval_term, fmap_apply, join, lower,
                                   run_handler, upsilon)
+from effparse.lexicon import load_language_text
 from effparse.model import Model
 from effparse.typesys import NatDef, UnknownEffectError
 from effparse.values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV,
@@ -83,6 +84,35 @@ def test_values_equal_tells_forall_from_exists_past_five_entities(solar):
 
 
 # -- per-carrier operation examples ------------------------------------------
+
+def test_value_equality_hides_only_evaluation_errors(law_model):
+    def broken(v):
+        raise AttributeError("not an evaluation error")
+
+    def ill_typed(v):
+        raise ShapeError("ill-typed probe")
+
+    with pytest.raises(AttributeError):
+        values_equal(Fn(broken), Fn(broken), law_model)
+    assert not values_equal(Fn(ill_typed), Fn(lambda v: B(True)), law_model)
+
+
+def test_missing_carrier_operations_raise_unknown_effect():
+    reg = load_language_text(
+        "(base-type e) (base-type t) (base-type g)\n"
+        "(functor P :caps (functor applicative monad))\n"
+        "(functor Q :caps (functor applicative monad))\n").registry
+    pair = PairV(B(True), SeqV(()))
+    calls = [lambda: eta(reg, "P", B(True)),
+             lambda: join(reg, "P", PairV(pair, SeqV(()))),
+             lambda: fmap_apply(reg, "Q", ident(), pair),
+             lambda: eta(reg, "Q", B(True)),
+             lambda: join(reg, "Q", pair),
+             lambda: check_shape("Q", pair)]
+    for call in calls:
+        with pytest.raises(UnknownEffectError, match="has no runtime carrier"):
+            call()
+
 
 def test_fmap_maybe_preserves_absent(registry):
     out = fmap_apply(registry, "M", ident(), MaybeV(ABSENT))

@@ -3,9 +3,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from effparse.lambda_eval import eta, run_handler
+from effparse import sexpr
 from effparse.lexicon import (LanguageParseError, LanguageSemanticError, Lexicon,
-                              language_to_text,
-                              load_language_text, load_model_text, model_to_text)
+                              language_to_text, load_language_text,
+                              load_model_text, model_to_text, parse_term,
+                              term_to_sexpr)
 from effparse.typesys import Arrow, Base, Eff, deep_effect_count
 from effparse.values import B, E, values_equal
 
@@ -82,6 +84,47 @@ def test_language_roundtrip_is_fixpoint(english):
     assert [e.term for e in again.entries] == [e.term for e in english.entries]
     assert again.registry.functor_names() == english.registry.functor_names()
     assert again.registry.adjunctions() == english.registry.adjunctions()
+
+
+HEAD_FORMS = [
+    "(lam x y)", "(app f x)", "(pair x y)", "(pred near x y)", "(const a)",
+    "(set x :where (pred cat x) :yield x)", "(if true x false)",
+    "(forall x p)", "(exists x p)", "(not p)", "(and p q)", "(or p q)",
+    "(eq x y)", "(push x s)", "(idx g 0)", "(fmap S f x)", "(eta G x)",
+    "(mu D x)", "(ap M f x)", "(eps P G x)", "(upsilon G f)", "(lower x)",
+    "(handler iota x)",
+]
+
+ARITY = {"lam": 2, "app": 2, "pair": 2, "const": 1, "if": 3, "forall": 2,
+         "exists": 2, "not": 1, "and": 2, "or": 2, "eq": 2, "push": 2,
+         "idx": 2, "fmap": 3, "eta": 2, "mu": 2, "ap": 3, "eps": 3,
+         "upsilon": 2, "lower": 1, "handler": 2}
+
+
+@pytest.mark.parametrize("text", HEAD_FORMS)
+def test_every_term_head_roundtrips(text):
+    [form] = sexpr.parse(text)
+    assert sexpr.unparse(term_to_sexpr(parse_term(form))) == text
+
+
+@pytest.mark.parametrize("head", sorted(ARITY))
+def test_term_head_arity_is_checked(head):
+    [form] = sexpr.parse(f"({head}{' x' * (ARITY[head] + 1)})")
+    with pytest.raises(LanguageParseError, match=f"^line 1: {head} expects "
+                                                 f"{ARITY[head]} arguments$"):
+        parse_term(form)
+
+
+@pytest.mark.parametrize("functor, decls", [
+    ("G", "(functor G :caps (functor applicative monad))"),  # no base type g
+    ("Q", "(base-type g) (functor Q :caps (functor applicative monad))"),
+])
+def test_lambda_without_a_literal_carrier_type_is_rejected(functor, decls):
+    text = (f"(base-type e) (base-type t) {decls}\n"
+            f'(word "w" :type ({functor} e) :term (lam x x))\n')
+    with pytest.raises(LanguageSemanticError,
+                       match=f"a lambda cannot have type {functor} e"):
+        load_language_text(text)
 
 
 def test_model_roundtrip_is_fixpoint(solar):
