@@ -7,11 +7,10 @@
 Commands: parse, eval, diagram, normalize, equal, check.
 
 Exit codes: 0 ok / at least one parse; 1 no parse; 2 file parse error or
-bad command-line argument (such as ``--max-derivations`` or ``--budget``
-below 1); 3 semantic or type error in a file; 4 unknown token; 5
-derivation index out of range.  A derivation whose evaluation fails, for
-instance on a predicate the model lacks, prints ``<error: ...>`` in place
-of its value.
+bad command-line argument (such as ``--max-derivations`` below 1); 3
+semantic or type error in a file; 4 unknown token; 5 derivation index out
+of range.  A derivation whose evaluation fails, for instance on a
+predicate the model lacks, prints ``<error: ...>`` in place of its value.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ def _argparser() -> argparse.ArgumentParser:
                    metavar=("I", "J"), help="derivation indices for equal")
     p.add_argument("--no-prune", action="store_true",
                    help="keep mode sequences the rewrite rules would discard")
-    p.add_argument("--budget", type=int, default=None,
-                   help="override the mode-sequence length budget")
     p.add_argument("sentence", nargs="*", help="sentence tokens (or one quoted string)")
     return p
 
@@ -73,10 +70,9 @@ def _tokenize(words) -> list:
 def main(argv=None) -> int:
     parser = _argparser()
     args = parser.parse_intermixed_args(argv)
-    for flag, value in (("--max-derivations", args.max_derivations),
-                        ("--budget", args.budget)):
-        if value is not None and value < 1:
-            parser.error(f"argument {flag}: must be at least 1, got {value}")
+    if args.max_derivations < 1:
+        parser.error("argument --max-derivations: must be at least 1, "
+                     f"got {args.max_derivations}")
     out = sys.stdout
 
     try:
@@ -108,8 +104,7 @@ def main(argv=None) -> int:
     try:
         derivs = parse(tokens, lex, syntax=syntax,
                        prune_seqs=not args.no_prune,
-                       max_derivations=args.max_derivations,
-                       budget_override=args.budget)
+                       max_derivations=args.max_derivations)
     except UnknownTokenError as exc:
         print(f"error: unknown token {exc.token!r} at position {exc.position}",
               file=sys.stderr)

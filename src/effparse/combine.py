@@ -24,7 +24,7 @@ from functools import cached_property
 from . import sexpr
 from . import terms as T
 from .lexicon import LexEntry, Lexicon
-from .typesys import Arrow, Base, Eff, Prod, Registry, Ty, deep_effect_count
+from .typesys import Arrow, Base, Eff, Registry, Ty, deep_effect_count
 
 
 class ModeError(Exception):
@@ -296,7 +296,6 @@ MODE_RULES = {
     "c": _Rule("postfix", "pair", _cancel,
                _around(lambda m, r: T.Eps(*m.pair, r)), cell="epsilon"),
 }
-BASE_KINDS = tuple(k for k, rule in MODE_RULES.items() if rule.place == "base")
 _RULES_AT = {place: tuple(rule for rule in MODE_RULES.values() if rule.place == place)
              for place in ("base", "wrapper", "postfix")}
 
@@ -309,28 +308,18 @@ def _rewrapped(reg, rule, mode, ty):
 
 # -- enumeration -----------------------------------------------------------
 
-def _nodes(ty: Ty) -> int:
-    if isinstance(ty, (Arrow, Prod)):
-        a, b = (ty.dom, ty.cod) if isinstance(ty, Arrow) else (ty.left, ty.right)
-        return 1 + _nodes(a) + _nodes(b)
-    if isinstance(ty, Eff):
-        return 1 + _nodes(ty.inner)
-    return 0
-
-
-def _structural_cap(lty: Ty, rty: Ty) -> int:
-    return 2 * (_nodes(lty) + _nodes(rty)) + 2
-
-
 def _seq_sort_key(seq) -> tuple:
     return tuple(m.render() for m in seq)
 
 
-def modes_by_type(reg: Registry, left: Ty, right: Ty, budget: int,
-                  pruned: bool = False, seq_cap: int | None = None) -> dict:
+def modes_by_type(reg: Registry, left: Ty, right: Ty, pruned: bool = False,
+                  seq_cap: int | None = None) -> dict:
     """Mode sequences combining two constituent types, grouped by result
     type; each group is sorted and holds at most ``seq_cap`` sequences.
 
+    The types alone bound the recursion: ML/MR/A/UL/UR recurse on smaller
+    child types; EL/ER keep the size but leave an arrow on top, which no
+    wrapper reads as an effect again; J/DN/C shrink the result type.
     With ``pruned`` the normal-form rules are applied inside the recursion
     (each rule is local to a bounded window, so prefix filtering equals
     post-filtering while skipping the discarded interleavings).  A group
@@ -338,80 +327,57 @@ def modes_by_type(reg: Registry, left: Ty, right: Ty, budget: int,
     witness sequence; it bounds the work on deeply stacked effects, where
     the number of interleavings grows combinatorially.
     """
-    if budget < 1:
-        return {}
-    budget = min(budget, _structural_cap(left, right))
-    cache = reg._combo_cache
-    hit = cache.get((left, right, budget, pruned, seq_cap))
+    key = (left, right, pruned, seq_cap)
+    hit = reg._combo_cache.get(key)
     if hit is not None:
-        # return before building ``go``: its self-reference is a cycle
-        # that only the garbage collector frees, on every warm call
         return hit
+    out: dict = {}
 
-    def keep(mode: Mode, seq: tuple) -> bool:
-        if not pruned:
-            return True
-        return not _banned_prefix(mode, seq, reg)
+    def add(seq, ty) -> bool:
+        bucket = out.setdefault(ty, set())
+        before = len(bucket)
+        bucket.add(seq)
+        return len(bucket) != before
 
-    def go(lty: Ty, rty: Ty, b: int) -> dict:
-        key = (lty, rty, b, pruned, seq_cap)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out: dict = {}
-
-        def add(seq, ty) -> bool:
-            bucket = out.setdefault(ty, set())
-            before = len(bucket)
-            bucket.add(seq)
-            return len(bucket) != before
-
-        if b >= 1:
-            for rule in _RULES_AT["base"]:
-                offer = rule.step(reg, lty, rty)
-                if offer is not None:
-                    add((offer[0],), offer[1])
-        if b >= 2:
-            for rule in _RULES_AT["wrapper"]:
-                offer = rule.step(reg, lty, rty)
-                if offer is None:
-                    continue
-                mode, children = offer
-                for ty, seqs in go(*children, b - 1).items():
-                    res = _rewrapped(reg, rule, mode, ty)
-                    if res is None:
-                        continue
-                    for seq in seqs:
-                        if keep(mode, seq):
-                            add((mode,) + seq, res)
-            # postfix modes shrink existing results; close under chains
-            frontier = [(ty, seq) for ty, seqs in out.items() for seq in seqs]
-            while frontier:
-                ty, seq = frontier.pop()
-                if len(seq) + 1 > b:
-                    continue
-                for rule in _RULES_AT["postfix"]:
-                    offer = rule.step(reg, ty)
-                    if offer is None:
-                        continue
-                    mode, res = offer
-                    if keep(mode, seq):
-                        new = (mode,) + seq
-                        if add(new, res):
-                            frontier.append((res, new))
-        result = {ty: tuple(sorted(seqs, key=_seq_sort_key)[:seq_cap])
-                  for ty, seqs in out.items()}
-        cache[key] = result
-        return result
-
-    return go(left, right, budget)
+    for rule in _RULES_AT["base"]:
+        offer = rule.step(reg, left, right)
+        if offer is not None:
+            add((offer[0],), offer[1])
+    for rule in _RULES_AT["wrapper"]:
+        offer = rule.step(reg, left, right)
+        if offer is None:
+            continue
+        mode, children = offer
+        for ty, seqs in modes_by_type(reg, *children, pruned, seq_cap).items():
+            res = _rewrapped(reg, rule, mode, ty)
+            if res is None:
+                continue
+            for seq in seqs:
+                if not (pruned and _banned_prefix(mode, seq, reg)):
+                    add((mode,) + seq, res)
+    # postfix modes shrink existing results; close under chains
+    frontier = [(ty, seq) for ty, seqs in out.items() for seq in seqs]
+    while frontier:
+        ty, seq = frontier.pop()
+        for rule in _RULES_AT["postfix"]:
+            offer = rule.step(reg, ty)
+            if offer is None:
+                continue
+            mode, res = offer
+            new = (mode,) + seq
+            if not (pruned and _banned_prefix(mode, seq, reg)) and add(new, res):
+                frontier.append((res, new))
+    result = {ty: tuple(sorted(seqs, key=_seq_sort_key)[:seq_cap])
+              for ty, seqs in out.items()}
+    reg._combo_cache[key] = result
+    return result
 
 
-def enumerate_modes(reg: Registry, left: Ty, right: Ty, budget: int,
+def enumerate_modes(reg: Registry, left: Ty, right: Ty,
                     pruned: bool = False) -> frozenset:
-    """Every (mode sequence, result type) combining two constituent types
-    within the length budget.  Sequences replay to their paired type."""
-    grouped = modes_by_type(reg, left, right, budget, pruned=pruned)
+    """Every (mode sequence, result type) combining two constituent types.
+    Sequences replay to their paired type."""
+    grouped = modes_by_type(reg, left, right, pruned=pruned)
     return frozenset((seq, ty) for ty, seqs in grouped.items() for seq in seqs)
 
 
@@ -719,18 +685,10 @@ def _unpack(item: _Item, limit: int, memo: dict):
     return memo[key]
 
 
-def default_budget(lex: Lexicon, span: int) -> int:
-    c = len(lex.registry.adjunctions())
-    m = max(lex.max_effect_rank, 1)
-    return (2 + c) * m * (span + 1) + 1
-
-
 def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
-                 prune_seqs: bool = True, budget_override: int | None = None,
-                 seq_cap: int | None = None) -> Forest:
-    for name, limit in (("budget_override", budget_override), ("seq_cap", seq_cap)):
-        if limit is not None and limit < 1:
-            raise ValueError(f"{name} must be at least 1, got {limit}")
+                 prune_seqs: bool = True, seq_cap: int | None = None) -> Forest:
+    if seq_cap is not None and seq_cap < 1:
+        raise ValueError(f"seq_cap must be at least 1, got {seq_cap}")
     reg = lex.registry
     n = len(tokens)
     folded = [t.casefold() for t in tokens]
@@ -776,11 +734,9 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
     # one object per result type: equal types are then identical, and chart
     # lookups never compare deep types structurally
     types: dict = {}
+    # item types stay alive in the chart, so their ids are stable keys
+    combos_of: dict = {}
     for span in range(2, n + 1):
-        budget = default_budget(lex, span) if budget_override is None else budget_override
-        # one budget per span, so equal type pairs get equal combinations;
-        # item types stay alive in the chart, so their ids are stable keys
-        span_combos: dict = {}
         for i in range(n - span + 1):
             j = i + span
             for k in range(i + 1, j):
@@ -791,11 +747,11 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
                         if not targets:
                             continue
                         pair = (id(lty), id(rty))
-                        combos = span_combos.get(pair)
+                        combos = combos_of.get(pair)
                         if combos is None:
-                            found = modes_by_type(reg, lty, rty, budget,
-                                                  pruned=prune_seqs, seq_cap=seq_cap)
-                            combos = span_combos[pair] = [
+                            found = modes_by_type(reg, lty, rty, pruned=prune_seqs,
+                                                  seq_cap=seq_cap)
+                            combos = combos_of[pair] = [
                                 (types.setdefault(ty, ty), seqs) for ty, seqs in found.items()]
                         for ty, seqs in combos:
                             src = (seqs, litem, ritem)
@@ -805,8 +761,7 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
 
 
 def parse(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
-          prune_seqs: bool = True, max_derivations: int = 64,
-          budget_override: int | None = None):
+          prune_seqs: bool = True, max_derivations: int = 64):
     """CKY parse; returns the (capped, deterministically ordered) tuple of
     whole-input derivations.
 
@@ -819,6 +774,5 @@ def parse(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
     if not tokens:
         return ()
     forest = parse_forest(tokens, lex, syntax=syntax, prune_seqs=prune_seqs,
-                          budget_override=budget_override,
                           seq_cap=max_derivations)
     return forest.derivations(limit=max_derivations)

@@ -20,7 +20,7 @@ from .model import Model
 from .typesys import (Arrow, CapabilityError, Eff, NatDef, Prod, Registry,
                       UnknownEffectError)
 from .values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
-                     SetV, StateV, Value, render, structural_key)
+                     SetV, StateV, render)
 
 
 class EvalError(Exception):
@@ -69,7 +69,7 @@ def eval_term(term, env: dict, model: Model, reg: Registry):
     if isinstance(term, T.Lam):
         def run(v, _t=term, _env=env):
             return eval_term(_t.body, {**_env, _t.param: v}, model, reg)
-        return Fn(run, label=f"\\{term.param}")
+        return Fn(run, label=f"\\{T.var_stem(term.param)}")
     if isinstance(term, T.App):
         fn = eval_term(term.fn, env, model, reg)
         arg = eval_term(term.arg, env, model, reg)

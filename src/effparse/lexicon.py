@@ -196,6 +196,12 @@ def _expect_keys(kw, required, optional, what, line):
         raise LanguageParseError(f"{what} has unknown keys {sorted(unknown)}", line)
 
 
+def _symbols(x, key, line) -> tuple:
+    if not isinstance(x, sexpr.Node):
+        raise LanguageParseError(f"{key} expects a list", line)
+    return tuple(_symbol(s, line) for s in x.items)
+
+
 def _bool(x, line) -> bool:
     if x == "true":
         return True
@@ -257,12 +263,7 @@ def _parse_functor(form, reg) -> FunctorDef:
     name = _symbol(form.items[1], line)
     kw = _keywords(form.items[2:], line)
     _expect_keys(kw, set(), {":caps", ":commutative", ":applies-to"}, "functor", line)
-    caps = frozenset()
-    if ":caps" in kw:
-        node = kw[":caps"]
-        if not isinstance(node, sexpr.Node):
-            raise LanguageParseError(":caps expects a list", line)
-        caps = frozenset(_symbol(c, line) for c in node.items)
+    caps = frozenset(_symbols(kw[":caps"], ":caps", line) if ":caps" in kw else ())
     applies = None
     if ":applies-to" in kw and kw[":applies-to"] != "*":
         applies = (parse_type(kw[":applies-to"], reg, line),)
@@ -279,8 +280,8 @@ def _parse_nat(form) -> NatDef:
     name = _symbol(form.items[1], line)
     kw = _keywords(form.items[2:], line)
     _expect_keys(kw, {":from", ":to", ":handler", ":impl"}, {":default"}, "nat", line)
-    src = tuple(_symbol(f, line) for f in kw[":from"].items)
-    tgt = tuple(_symbol(f, line) for f in kw[":to"].items)
+    src = _symbols(kw[":from"], ":from", line)
+    tgt = _symbols(kw[":to"], ":to", line)
     default = parse_term(kw[":default"], line) if ":default" in kw else None
     return NatDef(name=name, source=src, target=tgt,
                   is_handler=_bool(kw[":handler"], line),
@@ -378,26 +379,29 @@ def load_model_text(text: str) -> Model:
         if not isinstance(form, sexpr.Node) or not form.items:
             raise LanguageParseError("top-level forms must be lists")
         head, line = form.items[0], form.line
-        if head == "entity":
-            entities.append(_symbol(form.items[1], line))
-        elif head == "pred":
-            name = _symbol(form.items[1], line)
-            if not isinstance(form.items[2], int):
-                raise LanguageParseError("pred needs a literal arity", line)
-            arity = form.items[2]
-            rows = set()
-            for row in form.items[3:]:
-                if not isinstance(row, sexpr.Node):
-                    raise LanguageParseError("extension rows must be lists", line)
-                rows.add(tuple(_symbol(e, line) for e in row.items))
-            key = (name, arity)
-            predicates[key] = frozenset(predicates.get(key, frozenset()) | rows)
-        elif head == "assignment":
-            assignment = tuple(_symbol(e, line) for e in form.items[1:])
-        elif head == "state":
-            state = tuple(_symbol(e, line) for e in form.items[1:])
-        else:
-            raise LanguageParseError(f"unknown model form {head}", line)
+        try:
+            if head == "entity":
+                entities.append(_symbol(form.items[1], line))
+            elif head == "pred":
+                name = _symbol(form.items[1], line)
+                if not isinstance(form.items[2], int):
+                    raise LanguageParseError("pred needs a literal arity", line)
+                arity = form.items[2]
+                rows = set()
+                for row in form.items[3:]:
+                    if not isinstance(row, sexpr.Node):
+                        raise LanguageParseError("extension rows must be lists", line)
+                    rows.add(tuple(_symbol(e, line) for e in row.items))
+                key = (name, arity)
+                predicates[key] = frozenset(predicates.get(key, frozenset()) | rows)
+            elif head == "assignment":
+                assignment = tuple(_symbol(e, line) for e in form.items[1:])
+            elif head == "state":
+                state = tuple(_symbol(e, line) for e in form.items[1:])
+            else:
+                raise LanguageParseError(f"unknown model form {head}", line)
+        except IndexError:
+            raise LanguageParseError(f"malformed {head} form", line) from None
     try:
         return Model(entities=tuple(entities), predicates=predicates,
                      initial_assignment=assignment, initial_state=state)

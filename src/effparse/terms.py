@@ -11,7 +11,7 @@ states, or continuations) stands for an effect-typed value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -193,44 +193,7 @@ def fresh_var(stem: str = "v") -> str:
     return f"_{stem}{next(_counter)}"
 
 
-def free_vars(term: Term) -> frozenset:
-    if isinstance(term, Var):
-        return frozenset([term.name])
-    if isinstance(term, Lam):
-        return free_vars(term.body) - {term.param}
-    if isinstance(term, (Forall, Exists)):
-        return free_vars(term.body) - {term.var}
-    if isinstance(term, SetBuilder):
-        return (free_vars(term.guard) | free_vars(term.yields)) - {term.var}
-    out = frozenset()
-    for child in _children(term):
-        out |= free_vars(child)
-    return out
-
-
-def _children(term: Term):
-    if isinstance(term, App):
-        return (term.fn, term.arg)
-    if isinstance(term, Pair):
-        return (term.left, term.right)
-    if isinstance(term, Pred):
-        return term.args
-    if isinstance(term, Not):
-        return (term.arg,)
-    if isinstance(term, (And, Or, Eq)):
-        return (term.left, term.right)
-    if isinstance(term, If):
-        return (term.cond, term.then, term.other)
-    if isinstance(term, Push):
-        return (term.item, term.seq)
-    if isinstance(term, Idx):
-        return (term.seq,)
-    if isinstance(term, (Fmap, ApOp)):
-        return (term.fn, term.arg)
-    if isinstance(term, (Eta, Mu, Eps, Lower, ApplyNat)):
-        return (term.arg,)
-    if isinstance(term, Upsilon):
-        return (term.fn,)
-    if isinstance(term, Coerce):
-        return (term.body,)
-    return ()
+def var_stem(name: str) -> str:
+    """``name`` without the counter :func:`fresh_var` appends, so printed
+    output does not depend on how many terms the process built before."""
+    return name.rstrip("0123456789") if name.startswith("_") else name

@@ -67,7 +67,22 @@ def test_language_semantic_error_exit_3(capsys, tmp_path):
     assert "dog" in err
 
 
-@pytest.mark.parametrize("limit", [("--max-derivations", "0"), ("--budget", "-3")])
+@pytest.mark.parametrize("flag, form, message", [
+    ("--language", "(nat n :from S :to () :handler true :impl identity)", ":from expects a list"),
+    ("--model", "(entity)", "malformed entity form"),
+    ("--model", "(pred p)", "malformed pred form"),
+], ids=["nat", "entity", "pred"])
+def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, message):
+    bad = tmp_path / "bad"
+    bad.write_text("\n" + form + "\n")
+    files = {"--language": LANG, "--model": MODEL, flag: str(bad)}
+    code, out, err = run(capsys, "check", *(x for kv in files.items() for x in kv))
+    assert code == 2
+    assert f"line 2: {message}" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("limit", [("--max-derivations", "0")])
 def test_nonpositive_limit_is_a_usage_error_exit_2(capsys, limit):
     code, out, err = run(capsys, *base("eval", *limit), "the cat sleeps")
     assert code == 2

@@ -14,15 +14,9 @@ from effparse.typesys import Arrow, Base, Eff
 from effparse.values import SetV, E, values_equal
 
 from .conftest import DATA
+from .test_cli_matrix import SENTENCES
 
 e, t = Base("e"), Base("t")
-
-SENTENCES = ("the cat sleeps", "the cat eats a mouse", "a cat in a box",
-             "no cat sleeps", "everyone eats jupiter", "it sleeps",
-             "jupiter , a planet sleeps", "a box in a mouse be carnivorous",
-             "the cat in a box eats it", "a cat in a box in a box in a box",
-             "jupiter eats no skillful mouse", "it eats a mouse in the box",
-             "everyone chases the mouse")
 
 
 def seqs_with_type(results, ty):
@@ -32,29 +26,29 @@ def seqs_with_type(results, ty):
 # -- enumerate_modes ----------------------------------------------------------
 
 def test_enumerate_ml_then_backward(registry):
-    results = enumerate_modes(registry, Eff("M", e), Arrow(e, t), budget=8)
+    results = enumerate_modes(registry, Eff("M", e), Arrow(e, t))
     assert (parse_modes("ML_M <"), Eff("M", t)) in results
 
 
 def test_enumerate_reaches_m_over_d(registry):
-    results = enumerate_modes(registry, Eff("M", e), Eff("D", Arrow(e, t)), budget=8)
+    results = enumerate_modes(registry, Eff("M", e), Eff("D", Arrow(e, t)))
     assert any(out == Eff("M", Eff("D", t)) for _, out in results)
 
 
 def test_enumerate_conjunction(registry):
-    results = enumerate_modes(registry, Arrow(e, t), Arrow(e, t), budget=8)
+    results = enumerate_modes(registry, Arrow(e, t), Arrow(e, t))
     assert (parse_modes("&"), Arrow(e, t)) in results
     assert (parse_modes("|"), Arrow(e, t)) in results
 
 
 def test_enumerate_requires_pure_argument(registry):
     # an effectful argument must go through wrapper modes, not plain application
-    results = enumerate_modes(registry, Arrow(Eff("M", e), t), Eff("M", e), budget=4)
+    results = enumerate_modes(registry, Arrow(Eff("M", e), t), Eff("M", e))
     assert not seqs_with_type(results, t)
 
 
 def test_enumerate_empty_when_no_combination(registry):
-    assert enumerate_modes(registry, e, e, budget=6) == frozenset()
+    assert enumerate_modes(registry, e, e) == frozenset()
 
 
 @given(data=st.data())
@@ -63,7 +57,7 @@ def test_enumerated_sequences_replay_to_their_type(registry, data):
     from .strategies import types
     lty = data.draw(types(registry, max_depth=3))
     rty = data.draw(types(registry, max_depth=3))
-    for seq, ty in enumerate_modes(registry, lty, rty, budget=6):
+    for seq, ty in enumerate_modes(registry, lty, rty):
         assert replay_modes(registry, seq, lty, rty) == ty
 
 
@@ -119,8 +113,8 @@ def test_pruned_enumeration_equals_post_filtering(syntax):
     pairs = {(key[0], key[1]) for key in reg._combo_cache}
     assert len(pairs) > 200
     for lty, rty in pairs:
-        unpruned = enumerate_modes(reg, lty, rty, budget=6)
-        assert enumerate_modes(reg, lty, rty, budget=6, pruned=True) == {
+        unpruned = enumerate_modes(reg, lty, rty)
+        assert enumerate_modes(reg, lty, rty, pruned=True) == {
             (seq, ty) for seq, ty in unpruned if prune(seq, reg)}
 
 
@@ -194,8 +188,7 @@ def test_parse_rejects_nonpositive_derivation_cap(english):
         parse("the cat sleeps".split(), english, max_derivations=0)
 
 
-@pytest.mark.parametrize("limit", [{"seq_cap": 0}, {"budget_override": 0},
-                                   {"budget_override": -3}])
+@pytest.mark.parametrize("limit", [{"seq_cap": 0}])
 def test_parse_forest_rejects_nonpositive_limits(english, limit):
     with pytest.raises(ValueError):
         parse_forest("the cat sleeps".split(), english, **limit)
@@ -220,9 +213,13 @@ def test_replay_soundness_of_parses(english):
 
 
 def test_budget_bound_respected(english):
-    from effparse.combine import default_budget
+    # type structure alone bounds enumeration; check that sequences stay
+    # within (2 + c)·m·(n + 1) + 1 for c adjunctions and effect rank m
+    c = len(english.registry.adjunctions())
+    m = max(english.max_effect_rank, 1)
     for sent in ("the cat sleeps", "the cat eats a mouse", "a cat in a box"):
         n = len(sent.split())
+        bound = (2 + c) * m * (n + 1) + 1
         for d in parse(sent.split(), english, max_derivations=64):
             def widths(node):
                 if isinstance(node, Branch):
@@ -230,7 +227,7 @@ def test_budget_bound_respected(english):
                     yield from widths(node.left)
                     yield from widths(node.right)
             for width, _ in widths(d):
-                assert width <= default_budget(english, n)
+                assert width <= bound
 
 
 def test_chart_monotonicity(english, solar):
@@ -322,6 +319,18 @@ def test_tree_box_denotation(english, solar):
         outcomes = _run_state(v, SeqV(()))
         got_sets.append({pr.left.name for pr in outcomes.elems})
     assert wanted in got_sets
+
+
+def test_printed_values_do_not_depend_on_process_history(english, solar):
+    # the fresh variables of mode denotations print without their counter
+    from effparse.render import derivation_to_text
+    reg = english.registry
+    derivs = parse("the cat sleeps".split(), english)
+    before = [derivation_to_text(reg, d, solar) for d in derivs]
+    for d in parse("a cat in a box".split(), english):
+        derivation_term(reg, d)
+    assert [derivation_to_text(reg, d, solar) for d in derivs] == before
+    assert any("<\\_x>" in text for text in before)
 
 
 def test_every_mode_kind_roundtrips():
