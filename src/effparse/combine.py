@@ -19,7 +19,7 @@ construction.  Unpacking a packed forest is capped and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import sexpr
 from . import terms as T
@@ -518,13 +518,35 @@ class Branch(Derivation):
     right: Derivation
 
 
+@cache
+def _mode_term(m: Mode) -> T.Term:
+    """One closed term per mode: a base mode's figure term, or
+    ``λv. transformer(v)`` for a wrapper or postfix mode.  The term reads
+    no registry and is immutable, so every parse shares it; there are only
+    as many as there are distinct modes."""
+    rule = MODE_RULES[m.kind]
+    if rule.place == "base":
+        return rule.denote(m)
+    v = T.fresh_var("m")
+    return T.Lam(v, rule.denote(m)(T.Var(v)))
+
+
 def derivation_term(reg: Registry, d: Derivation) -> T.Term:
-    """Fold mode denotations over a derivation into one closed term."""
+    """One closed term for a derivation.
+
+    A leaf is its lexical term.  A branch with modes m1 ... mk (base mode
+    mk) applies the shared per-mode terms, ``T_m1 (... (T_mk-1 T_mk))``,
+    to its children's terms.  Each mode's term is built once per process,
+    so it and the lexical terms are compiled once however many derivations
+    use them; only the application nodes are new.  Under call-by-value
+    this term is a beta-redex of substituting each figure into its
+    wrapper's transformer, so it has the same value.
+    """
     if isinstance(d, Leaf):
         return d.entry.term
-    term = mode_denotation(reg, d.modes[-1])
+    term = _mode_term(d.modes[-1])
     for m in reversed(d.modes[:-1]):
-        term = mode_denotation(reg, m)(term)
+        term = T.App(_mode_term(m), term)
     return T.App(T.App(term, derivation_term(reg, d.left)),
                  derivation_term(reg, d.right))
 

@@ -1,4 +1,13 @@
-"""Call-by-value evaluator for denotation terms.
+"""Call-by-value evaluation of denotation terms.
+
+``eval_term`` compiles each term once to a Python closure and keeps it on
+the term: ``COMPILE`` holds one rule per term class, and a term's closure
+calls its subterms' closures directly instead of walking the tree on each
+evaluation.  Lexical and mode terms are long-lived, so they are compiled
+once per process.  The closures take the environment, model and registry
+on every call and capture none of them, so one compiled term serves any
+model; errors (unbound variables, terms no rule compiles) are raised when
+the term is evaluated, not when it is compiled.
 
 Evaluation is deterministic and left-to-right; quantifiers and set
 builders range over the model's entities; predicates read the model's
@@ -20,7 +29,7 @@ from .model import Model
 from .typesys import (Arrow, CapabilityError, Eff, NatDef, Prod, Registry,
                       UnknownEffectError)
 from .values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
-                     SetV, StateV, render)
+                     SetV, StateV, render, values_equal)
 
 
 class EvalError(Exception):
@@ -57,99 +66,200 @@ def _as_entity(v) -> str:
     return v.name
 
 
-# -- the interpreter -----------------------------------------------------
+# -- the compiler --------------------------------------------------------
 
 def eval_term(term, env: dict, model: Model, reg: Registry):
-    """Evaluate a closed-under-env term to a value."""
-    if isinstance(term, T.Var):
+    """Evaluate a term under ``env``, which binds its free variables."""
+    return _compiled(term)(env, model, reg)
+
+
+def _compiled(term):
+    """The term's code: a closure ``(env, model, reg) -> value``.  It is
+    built on first use and kept on the term, which is immutable; it holds
+    no model, registry or environment, so one code serves every call."""
+    code = getattr(term, "_code", None)
+    if code is None:
+        rule = COMPILE.get(type(term))
+        if rule is None:
+            return _cannot_evaluate(term)
+        code = rule(term)
+        object.__setattr__(term, "_code", code)
+    return code
+
+
+def _cannot_evaluate(term):
+    def run(env, model, reg):
+        raise EvalError(f"cannot evaluate {term!r}")
+    return run
+
+
+def _var(t):
+    name = t.name
+
+    def run(env, model, reg):
         try:
-            return env[term.name]
+            return env[name]
         except KeyError:
-            raise UnboundVariableError(f"unbound variable {term.name}") from None
-    if isinstance(term, T.Lam):
-        def run(v, _t=term, _env=env):
-            return eval_term(_t.body, {**_env, _t.param: v}, model, reg)
-        return Fn(run, label=f"\\{T.var_stem(term.param)}")
-    if isinstance(term, T.App):
-        fn = eval_term(term.fn, env, model, reg)
-        arg = eval_term(term.arg, env, model, reg)
-        return apply_value(fn, arg)
-    if isinstance(term, T.Pair):
-        return PairV(eval_term(term.left, env, model, reg),
-                     eval_term(term.right, env, model, reg))
-    if isinstance(term, T.Pred):
-        args = tuple(_as_entity(eval_term(a, env, model, reg)) for a in term.args)
-        ext = model.extension(term.name, len(args))
-        return B(args in ext)
-    if isinstance(term, T.Const):
-        model.entity_index(term.entity)
-        return E(term.entity)
-    if isinstance(term, T.BoolLit):
-        return B(term.value)
-    if isinstance(term, T.Not):
-        return B(not _as_bool(eval_term(term.arg, env, model, reg)))
-    if isinstance(term, T.And):
-        return B(_as_bool(eval_term(term.left, env, model, reg))
-                 and _as_bool(eval_term(term.right, env, model, reg)))
-    if isinstance(term, T.Or):
-        return B(_as_bool(eval_term(term.left, env, model, reg))
-                 or _as_bool(eval_term(term.right, env, model, reg)))
-    if isinstance(term, T.Eq):
-        from .values import values_equal
-        return B(values_equal(eval_term(term.left, env, model, reg),
-                              eval_term(term.right, env, model, reg), model))
-    if isinstance(term, T.If):
-        if _as_bool(eval_term(term.cond, env, model, reg)):
-            return eval_term(term.then, env, model, reg)
-        return eval_term(term.other, env, model, reg)
-    if isinstance(term, T.Forall):
-        return B(all(_as_bool(eval_term(term.body, {**env, term.var: E(e)}, model, reg))
-                     for e in model.entities))
-    if isinstance(term, T.Exists):
-        return B(any(_as_bool(eval_term(term.body, {**env, term.var: E(e)}, model, reg))
-                     for e in model.entities))
-    if isinstance(term, T.SetBuilder):
+            raise UnboundVariableError(f"unbound variable {name}") from None
+    return run
+
+
+def _lam(t):
+    param, body, label = t.param, _compiled(t.body), f"\\{T.var_stem(t.param)}"
+
+    def run(env, model, reg):
+        return Fn(lambda v: body({**env, param: v}, model, reg), label=label)
+    return run
+
+
+def _app(t):
+    fn, arg = _compiled(t.fn), _compiled(t.arg)
+
+    def run(env, model, reg):
+        f = fn(env, model, reg)
+        v = arg(env, model, reg)
+        if isinstance(f, Fn):
+            return f.run(v)
+        return apply_value(f, v)
+    return run
+
+
+def _bool_lit(t):
+    v = B(t.value)
+    return lambda env, model, reg: v
+
+
+def _const(t):
+    name, v = t.entity, E(t.entity)
+
+    def run(env, model, reg):
+        model.entity_index(name)
+        return v
+    return run
+
+
+def _pred(t):
+    name, args = t.name, tuple(_compiled(a) for a in t.args)
+
+    def run(env, model, reg):
+        ents = tuple(_as_entity(a(env, model, reg)) for a in args)
+        return B(ents in model.extension(name, len(ents)))
+    return run
+
+
+def _on(field: str, op):
+    """A node with one subterm: ``op(t, v, model, reg)`` finishes it from
+    the subterm's value ``v``."""
+    def rule(t):
+        sub = _compiled(getattr(t, field))
+        return lambda env, model, reg: op(t, sub(env, model, reg), model, reg)
+    return rule
+
+
+def _on2(first: str, second: str, op):
+    """A node with two subterms, evaluated left to right."""
+    def rule(t):
+        a, b = _compiled(getattr(t, first)), _compiled(getattr(t, second))
+        return lambda env, model, reg: op(t, a(env, model, reg), b(env, model, reg),
+                                          model, reg)
+    return rule
+
+
+def _connective(both: bool):
+    """And (``both``) or Or; the right operand runs only when needed."""
+    def rule(t):
+        left, right = _compiled(t.left), _compiled(t.right)
+
+        def run(env, model, reg):
+            if bool(_as_bool(left(env, model, reg))) is both:
+                return B(_as_bool(right(env, model, reg)))
+            return B(not both)
+        return run
+    return rule
+
+
+def _if(t):
+    cond, then, other = _compiled(t.cond), _compiled(t.then), _compiled(t.other)
+    return lambda env, model, reg: (
+        then if _as_bool(cond(env, model, reg)) else other)(env, model, reg)
+
+
+def _quantifier(over):
+    """Forall (``all``) or Exists (``any``) over the model's entities."""
+    def rule(t):
+        var, body = t.var, _compiled(t.body)
+        return lambda env, model, reg: B(over(
+            _as_bool(body({**env, var: E(e)}, model, reg)) for e in model.entities))
+    return rule
+
+
+def _set_builder(t):
+    var, guard, yields = t.var, _compiled(t.guard), _compiled(t.yields)
+
+    def run(env, model, reg):
         out = []
         for e in model.entities:
-            inner = {**env, term.var: E(e)}
-            if _as_bool(eval_term(term.guard, inner, model, reg)):
-                out.append(eval_term(term.yields, inner, model, reg))
+            inner = {**env, var: E(e)}
+            if _as_bool(guard(inner, model, reg)):
+                out.append(yields(inner, model, reg))
         return SetV(out)
-    if isinstance(term, T.Push):
-        item = eval_term(term.item, env, model, reg)
-        seq = eval_term(term.seq, env, model, reg)
-        if not isinstance(seq, SeqV):
-            raise ShapeError("push expects a sequence")
-        return SeqV((item,) + seq.items)
-    if isinstance(term, T.Idx):
-        seq = eval_term(term.seq, env, model, reg)
-        if not isinstance(seq, SeqV):
-            raise ShapeError("idx expects a sequence")
-        if term.index >= len(seq.items):
-            raise EvalError(f"sequence has no position {term.index}")
-        return seq.items[term.index]
-    if isinstance(term, T.Fmap):
-        fn = eval_term(term.fn, env, model, reg)
-        return fmap_apply(reg, term.functor, fn, eval_term(term.arg, env, model, reg))
-    if isinstance(term, T.Eta):
-        return eta(reg, term.functor, eval_term(term.arg, env, model, reg))
-    if isinstance(term, T.Mu):
-        return join(reg, term.functor, eval_term(term.arg, env, model, reg))
-    if isinstance(term, T.ApOp):
-        fn = eval_term(term.fn, env, model, reg)
-        return ap(reg, term.functor, fn, eval_term(term.arg, env, model, reg))
-    if isinstance(term, T.Eps):
-        return counit(reg, term.left, term.right, eval_term(term.arg, env, model, reg))
-    if isinstance(term, T.Upsilon):
-        return upsilon(reg, term.functor, eval_term(term.fn, env, model, reg))
-    if isinstance(term, T.Lower):
-        return lower(eval_term(term.arg, env, model, reg))
-    if isinstance(term, T.ApplyNat):
-        nat = reg.nat(term.name)
-        return apply_nat(reg, nat, eval_term(term.arg, env, model, reg), model)
-    if isinstance(term, T.Coerce):
-        return _coerce(term.functor, eval_term(term.body, env, model, reg))
-    raise EvalError(f"cannot evaluate {term!r}")
+    return run
+
+
+def _push(t, item, seq, model, reg):
+    if not isinstance(seq, SeqV):
+        raise ShapeError("push expects a sequence")
+    return SeqV((item,) + seq.items)
+
+
+def _idx(t, seq, model, reg):
+    if not isinstance(seq, SeqV):
+        raise ShapeError("idx expects a sequence")
+    if t.index >= len(seq.items):
+        raise EvalError(f"sequence has no position {t.index}")
+    return seq.items[t.index]
+
+
+def _apply_nat(t):
+    name, arg = t.name, _compiled(t.arg)
+
+    def run(env, model, reg):
+        nat = reg.nat(name)
+        return apply_nat(reg, nat, arg(env, model, reg), model)
+    return run
+
+
+# one compile rule per term class
+COMPILE = {
+    T.Var: _var,
+    T.Lam: _lam,
+    T.App: _app,
+    T.Pair: _on2("left", "right", lambda t, a, b, model, reg: PairV(a, b)),
+    T.Pred: _pred,
+    T.Const: _const,
+    T.BoolLit: _bool_lit,
+    T.Not: _on("arg", lambda t, v, model, reg: B(not _as_bool(v))),
+    T.And: _connective(True),
+    T.Or: _connective(False),
+    T.Eq: _on2("left", "right",
+               lambda t, a, b, model, reg: B(values_equal(a, b, model))),
+    T.If: _if,
+    T.Forall: _quantifier(all),
+    T.Exists: _quantifier(any),
+    T.SetBuilder: _set_builder,
+    T.Push: _on2("item", "seq", _push),
+    T.Idx: _on("seq", _idx),
+    T.Fmap: _on2("fn", "arg",
+                 lambda t, fn, v, model, reg: fmap_apply(reg, t.functor, fn, v)),
+    T.Eta: _on("arg", lambda t, v, model, reg: eta(reg, t.functor, v)),
+    T.Mu: _on("arg", lambda t, v, model, reg: join(reg, t.functor, v)),
+    T.ApOp: _on2("fn", "arg", lambda t, fn, v, model, reg: ap(reg, t.functor, fn, v)),
+    T.Eps: _on("arg", lambda t, v, model, reg: counit(reg, t.left, t.right, v)),
+    T.Upsilon: _on("fn", lambda t, v, model, reg: upsilon(reg, t.functor, v)),
+    T.Lower: _on("arg", lambda t, v, model, reg: lower(v)),
+    T.ApplyNat: _apply_nat,
+    T.Coerce: _on("body", lambda t, v, model, reg: _coerce(t.functor, v)),
+}
 
 
 def _coerce(functor: str, v):

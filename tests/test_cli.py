@@ -1,8 +1,13 @@
+import contextlib
+import io
 import pathlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from effparse.cli import main
+from effparse.lexicon import load_language
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LANG = str(ROOT / "data" / "english.lang")
@@ -207,3 +212,40 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, *base("parse", "--all-parses", "--eval"), "the cat eats a mouse")
     b = run(capsys, *base("parse", "--all-parses", "--eval"), "the cat eats a mouse")
     assert a == b
+
+
+# -- fuzz ------------------------------------------------------------------------
+
+WORDS = sorted({e.surface for e in load_language(LANG).entries}) + ["zyzzyva"]
+
+
+def _maybe(draw, *args):
+    return list(args) if draw(st.booleans()) else []
+
+
+@st.composite
+def cli_calls(draw):
+    limit = st.integers(-2, 70).map(str)
+    argv = base(draw(st.sampled_from(["parse", "eval", "diagram", "normalize", "equal"])))
+    argv += _maybe(draw, "--syntax", CFG)
+    argv += _maybe(draw, "--eval")
+    argv += _maybe(draw, "--all-parses")
+    argv += _maybe(draw, "--no-prune")
+    argv += _maybe(draw, "--render", draw(st.sampled_from(["text", "dot"])))
+    argv += _maybe(draw, "--index", draw(limit))
+    argv += _maybe(draw, "--indices", draw(limit), draw(limit))
+    argv += _maybe(draw, "--max-derivations", draw(st.integers(-1, 8).map(str)))
+    return argv + draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls())
+def test_cli_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in range(6)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,3 +1,5 @@
+import importlib.util
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -8,8 +10,9 @@ from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               enumerate_modes, mode_count, mode_denotation, parse,
                               parse_forest, parse_mode, parse_modes, prune,
                               render_modes, replay_modes)
-from effparse.lambda_eval import eval_term, join
+from effparse.lambda_eval import EvalError, eval_term, join
 from effparse.lexicon import load_language, load_language_text, language_to_text
+from effparse.model import ModelError
 from effparse.typesys import Arrow, Base, Eff
 from effparse.values import SetV, E, values_equal
 
@@ -331,6 +334,53 @@ def test_printed_values_do_not_depend_on_process_history(english, solar):
         derivation_term(reg, d)
     assert [derivation_to_text(reg, d, solar) for d in derivs] == before
     assert any("<\\_x>" in text for text in before)
+
+
+def folded_term(reg, d):
+    """The derivation's term with each base figure substituted into its
+    wrappers' transformers, one fresh transformer term per node."""
+    if isinstance(d, Leaf):
+        return d.entry.term
+    term = mode_denotation(reg, d.modes[-1])
+    for m in reversed(d.modes[:-1]):
+        term = mode_denotation(reg, m)(term)
+    return T.App(T.App(term, folded_term(reg, d.left)), folded_term(reg, d.right))
+
+
+def _benchmark_forcer(model):
+    """The benchmark's forcer, which turns values into plain data: state
+    runs from the model's initial state, readers read its assignment,
+    continuations are lowered and closures are tabulated over entities."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_pipeline", DATA.parent / "perfbench" / "pipeline.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Forcer(model)
+
+
+def _outcome(reg, term, model, force):
+    try:
+        return force(eval_term(term, {}, model, reg))
+    except (EvalError, ModelError) as exc:
+        return type(exc), str(exc)
+
+
+EQUIVALENCE_SENTENCES = SENTENCES + tuple(
+    "a cat" + " in a box" * k for k in range(1, 5))
+
+
+@pytest.mark.parametrize("with_syntax", [False, True])
+def test_shared_mode_terms_evaluate_like_folded_terms(english, solar, syntax,
+                                                      with_syntax):
+    # forced data, not values_equal: probing nested state over every short
+    # sequence exceeds its probe depth on D D e and takes minutes
+    reg, force = english.registry, _benchmark_forcer(solar)
+    for sentence in EQUIVALENCE_SENTENCES:
+        derivs = parse(sentence.split(), english,
+                       syntax=syntax if with_syntax else None)
+        for n, d in enumerate(derivs):
+            got = _outcome(reg, derivation_term(reg, d), solar, force)
+            assert got == _outcome(reg, folded_term(reg, d), solar, force), (sentence, n)
 
 
 def test_every_mode_kind_roundtrips():

@@ -4,10 +4,10 @@ import hypothesis.strategies as st
 
 from effparse import terms as T
 from effparse.combine import derivation_term, parse
-from effparse.lambda_eval import (EvalError, ShapeError, adjunction_unit, ap,
-                                  apply_nat, apply_value, check_shape, counit,
-                                  eta, eval_term, fmap_apply, join, lower,
-                                  run_handler, upsilon)
+from effparse.lambda_eval import (EvalError, ShapeError, UnboundVariableError,
+                                  adjunction_unit, ap, apply_nat, apply_value,
+                                  check_shape, counit, eta, eval_term, fmap_apply,
+                                  join, lower, run_handler, upsilon)
 from effparse.lexicon import load_language_text
 from effparse.model import Model
 from effparse.typesys import NatDef, UnknownEffectError
@@ -53,6 +53,35 @@ def test_eval_the_cat_unique(english, one_cat_model):
 def test_eval_the_cat_nonunique_is_absent(english, two_cat_model):
     v = eval_term(the_applied_to_cat(english), {}, two_cat_model, english.registry)
     assert v == MaybeV(ABSENT)
+
+
+def test_one_compiled_term_serves_any_model(english, one_cat_model, two_cat_model):
+    term = the_applied_to_cat(english)
+    reg = english.registry
+    for models in ((one_cat_model, two_cat_model), (two_cat_model, one_cat_model)):
+        got = [eval_term(term, {}, model, reg) for model in models]
+        want = [MaybeV(E("c1")) if model is one_cat_model else MaybeV(ABSENT)
+                for model in models]
+        assert got == want
+
+
+def test_unbound_variable_raises_when_applied(registry, law_model):
+    v = eval_term(T.Lam("x", T.Var("y")), {}, law_model, registry)
+    assert isinstance(v, Fn)
+    with pytest.raises(UnboundVariableError, match="unbound variable y"):
+        apply_value(v, E("a"))
+
+
+def test_term_without_compile_rule_raises_when_evaluated(registry, law_model):
+    class Opaque(T.Term):
+        pass
+
+    with pytest.raises(EvalError, match="cannot evaluate"):
+        eval_term(Opaque(), {}, law_model, registry)
+    # inside a closure body it raises only once the body runs
+    v = eval_term(T.Lam("x", Opaque()), {}, law_model, registry)
+    with pytest.raises(EvalError, match="cannot evaluate"):
+        apply_value(v, E("a"))
 
 
 def test_eval_identity_application(registry, law_model):
