@@ -551,20 +551,32 @@ def derivation_term(reg: Registry, d: Derivation) -> T.Term:
                  derivation_term(reg, d.right))
 
 
-def derivation_key(d: Derivation, memo: dict | None = None):
+def _text(texts: dict, obj, render) -> str:
+    """``render(obj)``, computed once per object: ``texts`` maps ``id(obj)``
+    to it, so ``obj`` must stay alive while ``texts`` is in use."""
+    text = texts.get(id(obj))
+    if text is None:
+        text = texts[id(obj)] = render(obj)
+    return text
+
+
+def derivation_key(d: Derivation, memo: dict | None = None, texts: dict | None = None):
     """Sort key of a derivation: type, mode string, then the left and right
     subtrees.  ``memo`` maps ``id(node)`` to its key, so a subtree shared by
-    many derivations is keyed once; its nodes must stay alive while it is
-    in use."""
+    many derivations is keyed once, and ``texts`` (see :func:`_text`) holds
+    the string of each type and mode sequence, so each is rendered once;
+    all of them must stay alive while the dicts are in use."""
     if memo is None:
         memo = {}
+    if texts is None:
+        texts = {}
     key = memo.get(id(d))
     if key is None:
         if isinstance(d, Leaf):
-            key = ("L", d.entry.surface, str(d.entry.ty))
+            key = ("L", d.entry.surface, _text(texts, d.entry.ty, str))
         else:
-            key = ("B", str(d.ty), render_modes(d.modes),
-                   derivation_key(d.left, memo), derivation_key(d.right, memo))
+            key = ("B", _text(texts, d.ty, str), _text(texts, d.modes, render_modes),
+                   derivation_key(d.left, memo, texts), derivation_key(d.right, memo, texts))
         memo[id(d)] = key
     return key
 
@@ -666,26 +678,34 @@ class Forest:
                    for cell in self.chart.values() for item in cell.values())
 
     def derivations(self, limit: int = 64):
+        # ids are stable keys: types and mode sequences stay alive in the
+        # chart, and nodes in ``out``
         memo: dict = {}
+        texts: dict = {}
         roots = sorted(self.root_items(), key=lambda it: it.key)
         out = []
         for item in roots:
-            out.extend(_unpack(item, limit, memo))
-        keys: dict = {}  # every node stays alive in ``out``, so ids are stable
-        out.sort(key=lambda d: derivation_key(d, keys))
+            out.extend(_unpack(item, limit, memo, texts))
+        keys: dict = {}
+        out.sort(key=lambda d: derivation_key(d, keys, texts))
         return tuple(out[:limit])
 
 
-def _unpack(item: _Item, limit: int, memo: dict):
+def _unpack(item: _Item, limit: int, memo: dict, texts: dict | None = None):
+    """The item's first ``limit`` derivations in packed-source order.
+    ``memo`` maps ``id(item)`` to them and ``texts`` holds mode strings
+    (see :func:`_text`)."""
     key = id(item)
     if key in memo:
         return memo[key]
+    if texts is None:
+        texts = {}
     memo[key] = []  # cycle guard; charts are acyclic but be safe
     out = []
     leaf_srcs = sorted((s for s in item.sources if isinstance(s, _LeafSrc)),
                        key=lambda s: s.entry.surface)
     bin_srcs = sorted((s for s in item.sources if not isinstance(s, _LeafSrc)),
-                      key=lambda s: (render_modes(s[0][0]), s[1].key, s[2].key))
+                      key=lambda s: (_text(texts, s[0][0], render_modes), s[1].key, s[2].key))
     for src in leaf_srcs:
         out.append(Leaf(src.entry))
         if len(out) >= limit:
@@ -694,8 +714,8 @@ def _unpack(item: _Item, limit: int, memo: dict):
         if len(out) >= limit:
             break
         for seq in seqs:
-            for l in _unpack(left, limit, memo):
-                for r in _unpack(right, limit, memo):
+            for l in _unpack(left, limit, memo, texts):
+                for r in _unpack(right, limit, memo, texts):
                     out.append(Branch(item.ty, seq, l, r))
                     if len(out) >= limit:
                         break

@@ -71,21 +71,33 @@ class SeqV(Value):
 
 
 class SetV(Value):
-    """Finite set with structural dedup where elements are hashable."""
+    """Finite set in canonical order.
+
+    From 2 elements up, elements with a :func:`structural_key` are
+    deduplicated by it (the first one given is kept) and ordered by the
+    ``repr`` of their keys; function-like elements, which have no key,
+    follow in the order given and are never deduplicated.  A set of 0 or 1
+    element keeps it as given and computes no key, since a lone element is
+    already deduplicated and in order.  Equal sets of plain data therefore
+    have equal ``elems``.
+    """
 
     __slots__ = ("elems",)
 
     def __init__(self, elems=()):
-        keyed = {}
-        rest = []
-        for v in elems:
-            k = structural_key(v)
-            if k is None:
-                rest.append(v)
-            elif k not in keyed:
-                keyed[k] = v
-        ordered = sorted(keyed.items(), key=lambda kv: repr(kv[0]))
-        object.__setattr__(self, "elems", tuple(v for _, v in ordered) + tuple(rest))
+        elems = tuple(elems)
+        if len(elems) > 1:
+            keyed = {}
+            rest = []
+            for v in elems:
+                k = structural_key(v)
+                if k is None:
+                    rest.append(v)
+                elif k not in keyed:
+                    keyed[k] = v
+            ordered = sorted(keyed.items(), key=lambda kv: repr(kv[0]))
+            elems = tuple(v for _, v in ordered) + tuple(rest)
+        object.__setattr__(self, "elems", elems)
 
     def __setattr__(self, *a):
         raise AttributeError("SetV is immutable")
@@ -148,7 +160,10 @@ class ContV(Value):
 
 
 def structural_key(v):
-    """Hashable identity for plain data; None for function-like values."""
+    """Hashable identity for plain data; None for function-like values and
+    for data that holds one.  A set is keyed by the keys of its elements in
+    its canonical ``elems`` order, so the key, and the order of a set of
+    sets, does not depend on the string hash seed."""
     if isinstance(v, B):
         return ("B", v.value)
     if isinstance(v, E):
@@ -168,7 +183,7 @@ def structural_key(v):
         return None if any(k is None for k in ks) else ("Q", ks)
     if isinstance(v, SetV):
         ks = tuple(structural_key(x) for x in v.elems)
-        return None if any(k is None for k in ks) else ("S", frozenset(ks))
+        return None if any(k is None for k in ks) else ("S", ks)
     return None
 
 

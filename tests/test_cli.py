@@ -1,6 +1,10 @@
 import contextlib
 import io
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -212,6 +216,32 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, *base("parse", "--all-parses", "--eval"), "the cat eats a mouse")
     b = run(capsys, *base("parse", "--all-parses", "--eval"), "the cat eats a mouse")
     assert a == b
+
+
+_RUN_CALLS = """
+import contextlib, io, json, sys
+from effparse.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    sys.stdout.write(f"{code}\\0{out.getvalue()}\\0{err.getvalue()}\\0")
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    calls = [base(*command, *syntax, sentence)
+             for sentence in ("everyone chases the mouse", "a box in a mouse be carnivorous",
+                              "a cat in a box in a box in a box")
+             for syntax in ((), ("--syntax", CFG))
+             for command in (("parse", "--all-parses", "--eval"), ("normalize", "--index", "0"))]
+    outs = [subprocess.run([sys.executable, "-c", _RUN_CALLS, json.dumps(calls)],
+                           capture_output=True, check=True,
+                           env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                "PYTHONHASHSEED": str(seed)}).stdout
+            for seed in (0, 1)]
+    assert outs[0].count(b"\0") == 3 * len(calls)
+    assert outs[0] == outs[1]
 
 
 # -- fuzz ------------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,7 +17,7 @@ from effparse.lexicon import load_language_text
 from effparse.model import Model
 from effparse.typesys import NatDef, UnknownEffectError
 from effparse.values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV,
-                             SeqV, SetV, StateV, values_equal)
+                             SeqV, SetV, StateV, structural_key, values_equal)
 
 from . import strategies as S
 
@@ -151,6 +156,50 @@ def test_fmap_maybe_preserves_absent(registry):
 def test_fmap_set_id(registry):
     s = SetV([E("a"), E("b")])
     assert fmap_apply(registry, "S", ident(), s) == s
+
+
+def reference_set_elems(elems) -> tuple:
+    """The canonical order computed with keys whatever the size of the set:
+    keyed elements deduplicated (first kept) and sorted by the ``repr`` of
+    their keys, then unkeyed elements as given."""
+    keyed, rest = {}, []
+    for v in elems:
+        k = structural_key(v)
+        if k is None:
+            rest.append(v)
+        elif k not in keyed:
+            keyed[k] = v
+    ordered = sorted(keyed.items(), key=lambda kv: repr(kv[0]))
+    return tuple(v for _, v in ordered) + tuple(rest)
+
+
+def set_elements():
+    """Data values (fresh objects, so equal ones are duplicates), nested
+    sets, and the unkeyed ``Fn`` and ``StateV``."""
+    return st.one_of(S.payloads(), S.maybe_values(), S.writer_values(),
+                     S.env_pair_values(), S.set_values(), S.set_values(S.set_values()),
+                     S.entity_funs(), S.state_values())
+
+
+@given(st.lists(set_elements(), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_set_elems_match_the_keyed_reference(elems):
+    got = SetV(elems).elems
+    want = reference_set_elems(elems)
+    assert [id(v) for v in got] == [id(v) for v in want]
+
+
+def test_set_of_sets_order_does_not_depend_on_the_hash_seed():
+    code = ("from effparse.values import E, SetV, render\n"
+            "s = SetV([SetV([E('a'), E('b')]), SetV([E('c')]),"
+            " SetV([E('b'), E('c'), E('d')])])\n"
+            "print([render(x) for x in s.elems])")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src,
+                                           "PYTHONHASHSEED": str(seed)}).stdout
+            for seed in (0, 1, 2)}
+    assert outs == {"['{a, b}', '{b, c, d}', '{c}']\n"}
 
 
 def test_fmap_writer_maps_first_component(registry):
