@@ -23,6 +23,7 @@ from functools import cache, cached_property
 
 from . import sexpr
 from . import terms as T
+from .lambda_eval import COMPILE, apply_value, eval_term
 from .lexicon import LexEntry, Lexicon
 from .typesys import Arrow, Base, Eff, Registry, Ty, deep_effect_count
 
@@ -512,10 +513,16 @@ class Leaf(Derivation):
 
 @dataclass(frozen=True)
 class Branch(Derivation):
+    """A combination of two subderivations.  Beside its fields it carries
+    the node memo's state: ``_uses``, the uses of its value still to come,
+    and ``_memo``, ``(model, reg, value)`` or None (see :func:`_node_value`)."""
+
     ty: Ty
     modes: tuple
     left: Derivation
     right: Derivation
+    _uses = 0
+    _memo = None
 
 
 @cache
@@ -531,24 +538,101 @@ def _mode_term(m: Mode) -> T.Term:
     return T.Lam(v, rule.denote(m)(T.Var(v)))
 
 
+@dataclass(frozen=True)
+class NodeTerm(T.Term):
+    """The closed term of a branch: it evaluates to the branch's value
+    through the node memo (see :func:`_node_value`)."""
+
+    node: Branch
+
+
 def derivation_term(reg: Registry, d: Derivation) -> T.Term:
     """One closed term for a derivation.
 
-    A leaf is its lexical term.  A branch with modes m1 ... mk (base mode
-    mk) applies the shared per-mode terms, ``T_m1 (... (T_mk-1 T_mk))``,
-    to its children's terms.  Each mode's term is built once per process,
-    so it and the lexical terms are compiled once however many derivations
-    use them; only the application nodes are new.  Under call-by-value
-    this term is a beta-redex of substituting each figure into its
-    wrapper's transformer, so it has the same value.
+    A leaf is its lexical term.  A branch with modes m1 ... mk is a
+    :class:`NodeTerm`, whose value is that of ``T_m1 (... (T_mk-1 T_mk))``
+    applied to the left child's value and then to the right child's,
+    evaluated call-by-value in that order: a beta-redex of substituting
+    each figure into its wrapper's transformer, so it has that term's
+    value.  Each mode's term is built and compiled once per process.
+    Branches of one :meth:`Forest.derivations` list share a value memo:
+    each branch is evaluated once, and its value is dropped after its last
+    use, so evaluating the list in order holds only the values still to
+    be used.
     """
     if isinstance(d, Leaf):
         return d.entry.term
-    term = _mode_term(d.modes[-1])
-    for m in reversed(d.modes[:-1]):
-        term = T.App(_mode_term(m), term)
-    return T.App(T.App(term, derivation_term(reg, d.left)),
-                 derivation_term(reg, d.right))
+    return NodeTerm(d)
+
+
+_NO_ENV: dict = {}
+
+
+def _node_value(d: Derivation, model, reg: Registry):
+    """The value of a derivation node under ``model`` and ``reg``.
+
+    A branch counts its uses down from what :meth:`Forest.derivations`
+    recorded (one per parent, one as a root).  It keeps its value, keyed
+    by the identity of ``(model, reg)``, while uses remain, and drops it
+    at the last one.  A branch used out of order, more often than counted,
+    under another model, or not made by ``derivations`` is recomputed.
+    Errors are never kept: a branch whose evaluation raises is evaluated
+    again at its next use.
+    """
+    if isinstance(d, Leaf):
+        return eval_term(d.entry.term, _NO_ENV, model, reg)
+    uses = d._uses - 1
+    object.__setattr__(d, "_uses", uses)
+    held = d._memo
+    if held is not None and held[0] is model and held[1] is reg:
+        if uses <= 0:
+            object.__setattr__(d, "_memo", None)
+        return held[2]
+    pending = [d.left, d.right]
+    try:
+        # T_m1 (... (T_mk-1 T_mk)): each mode term evaluated in turn,
+        # then applied from the innermost out
+        fns = [eval_term(_mode_term(m), _NO_ENV, model, reg) for m in d.modes]
+        fn = fns.pop()
+        for outer in reversed(fns):
+            fn = apply_value(outer, fn)
+        fn = apply_value(fn, _node_value(pending.pop(0), model, reg))
+        value = apply_value(fn, _node_value(pending.pop(0), model, reg))
+    finally:
+        for child in pending:  # those a failure kept it from reaching
+            _release(child)
+    object.__setattr__(d, "_memo", (model, reg, value) if uses > 0 else None)
+    return value
+
+
+def _release(d: Derivation) -> None:
+    """Count a use of ``d`` that will not come, because its parent failed
+    before reaching it.  At the last use its value is dropped.  A branch
+    that holds none then was never evaluated, so its uses of its children
+    will not come either; or its evaluation failed, and releasing its
+    children once more only makes them recompute sooner."""
+    if isinstance(d, Branch):
+        object.__setattr__(d, "_uses", d._uses - 1)
+        if d._uses == 0:
+            if d._memo is None:
+                _release(d.left)
+                _release(d.right)
+            object.__setattr__(d, "_memo", None)
+
+
+COMPILE[NodeTerm] = lambda t: lambda env, model, reg: _node_value(t.node, model, reg)
+
+
+def _count_uses(roots) -> None:
+    """Record on each branch reachable from ``roots`` how often its value
+    is used: once per distinct parent, plus once per root occurrence."""
+    stack = list(roots)
+    while stack:
+        d = stack.pop()
+        if isinstance(d, Branch):
+            object.__setattr__(d, "_uses", d._uses + 1)
+            if d._uses == 1:
+                stack += (d.left, d.right)
 
 
 def _text(texts: dict, obj, render) -> str:
@@ -678,6 +762,9 @@ class Forest:
                    for cell in self.chart.values() for item in cell.values())
 
     def derivations(self, limit: int = 64):
+        """The first ``limit`` derivations in key order.  Each branch
+        records how often evaluating the list in order uses its value
+        (see :func:`_count_uses`)."""
         # ids are stable keys: types and mode sequences stay alive in the
         # chart, and nodes in ``out``
         memo: dict = {}
@@ -688,7 +775,9 @@ class Forest:
             out.extend(_unpack(item, limit, memo, texts))
         keys: dict = {}
         out.sort(key=lambda d: derivation_key(d, keys, texts))
-        return tuple(out[:limit])
+        derivs = tuple(out[:limit])
+        _count_uses(derivs)
+        return derivs
 
 
 def _unpack(item: _Item, limit: int, memo: dict, texts: dict | None = None):

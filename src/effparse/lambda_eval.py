@@ -7,7 +7,11 @@ evaluation.  Lexical and mode terms are long-lived, so they are compiled
 once per process.  The closures take the environment, model and registry
 on every call and capture none of them, so one compiled term serves any
 model; errors (unbound variables, terms no rule compiles) are raised when
-the term is evaluated, not when it is compiled.
+the term is evaluated, not when it is compiled.  ``combine`` adds the rule
+for derivation nodes: a branch's term evaluates through a value memo kept
+on the branch, so a subtree shared by many derivations of one list is
+evaluated once, and its value is dropped after its last use.  Errors are
+never memoised.
 
 Evaluation is deterministic and left-to-right; quantifiers and set
 builders range over the model's entities; predicates read the model's

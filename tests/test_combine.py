@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 
 import pytest
@@ -369,18 +370,109 @@ EQUIVALENCE_SENTENCES = SENTENCES + tuple(
     "a cat" + " in a box" * k for k in range(1, 5))
 
 
+def _moved(model):
+    """The model with other cats and other things in the box, so that its
+    values differ from the model's."""
+    preds = dict(model.predicates)
+    preds[("cat", 1)] = frozenset({("c2",), ("m1",)})
+    preds[("in", 2)] = frozenset({("b1", "c2"), ("b1", "m1"), ("j", "b1")})
+    return dataclasses.replace(model, predicates=preds)
+
+
+def _without(model, pred):
+    return dataclasses.replace(model, predicates={
+        k: v for k, v in model.predicates.items() if k[0] != pred})
+
+
+def _evaluation_orders(n):
+    """(derivation index, model index) sequences: in order, reversed, each
+    derivation twice in a row, and interleaved across two models."""
+    return {"in order": [(i, 0) for i in range(n)],
+            "reversed": [(i, 0) for i in reversed(range(n))],
+            "twice": [(i, 0) for i in range(n) for _ in range(2)],
+            "two models": [(i, m) for i in range(n) for m in range(2)]}
+
+
 @pytest.mark.parametrize("with_syntax", [False, True])
 def test_shared_mode_terms_evaluate_like_folded_terms(english, solar, syntax,
                                                       with_syntax):
     # forced data, not values_equal: probing nested state over every short
-    # sequence exceeds its probe depth on D D e and takes minutes
-    reg, force = english.registry, _benchmark_forcer(solar)
+    # sequence exceeds its probe depth on D D e and takes minutes.  Each
+    # order evaluates a fresh derivation list, whose node memo starts empty.
+    reg = english.registry
+    models = (solar, _moved(solar))
+    forcers = [_benchmark_forcer(model) for model in models]
     for sentence in EQUIVALENCE_SENTENCES:
-        derivs = parse(sentence.split(), english,
-                       syntax=syntax if with_syntax else None)
-        for n, d in enumerate(derivs):
-            got = _outcome(reg, derivation_term(reg, d), solar, force)
-            assert got == _outcome(reg, folded_term(reg, d), solar, force), (sentence, n)
+        def derivations():
+            return parse(sentence.split(), english,
+                         syntax=syntax if with_syntax else None)
+        derivs = derivations()
+        want = {(n, m): _outcome(reg, folded_term(reg, d), models[m], forcers[m])
+                for n, d in enumerate(derivs) for m in range(2)}
+        for name, order in _evaluation_orders(len(derivs)).items():
+            derivs = derivations()
+            for n, m in order:
+                got = _outcome(reg, derivation_term(reg, derivs[n]), models[m], forcers[m])
+                assert got == want[n, m], (sentence, name, n, m)
+
+
+def _branches(derivs):
+    """Each distinct branch reachable from the derivations, once."""
+    seen, stack = {}, list(derivs)
+    while stack:
+        d = stack.pop()
+        if isinstance(d, Branch) and id(d) not in seen:
+            seen[id(d)] = d
+            stack += (d.left, d.right)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("sentence, with_syntax", [
+    ("a cat" + " in a box" * 6, False),
+    ("the cat in a box in a box eats the mouse in a box", True)])
+def test_node_values_are_dropped_after_their_last_use(english, solar, syntax,
+                                                      sentence, with_syntax):
+    reg, force = english.registry, _benchmark_forcer(solar)
+    forest = parse_forest(sentence.split(), english,
+                          syntax=syntax if with_syntax else None, seq_cap=64)
+    derivs = forest.derivations(64)
+    branches = _branches(derivs)
+    for n, d in enumerate(derivs):
+        force(eval_term(derivation_term(reg, d), {}, solar, reg))
+        if n == 0:  # the first derivation leaves values for later ones
+            assert any(b._memo is not None for b in branches)
+    assert [b for b in branches if b._memo is not None] == []
+    # every use was counted and no branch was evaluated twice, which
+    # would have used its children once more
+    assert {b._uses for b in branches} == {0}
+
+
+@pytest.mark.parametrize("sentence, with_syntax, missing", [
+    ("the cat in the box sleeps", False, "sleep"),
+    ("the cat in the box in the box sleeps", True, "sleep"),
+    # some roots fail before they reach a branch that others evaluate
+    ("the cat in the box eats a mouse", False, "cat"),
+    # and some branches are reached by no root at all
+    ("a cat in the box chases the mouse in a box", False, "box")])
+def test_a_failing_shared_node_fails_every_derivation_that_uses_it(
+        english, solar, syntax, sentence, with_syntax, missing):
+    reg = english.registry
+    model = _without(solar, missing)
+    force = _benchmark_forcer(model)
+    derivs = parse(sentence.split(), english, syntax=syntax if with_syntax else None)
+    raised = []
+    for d in derivs:
+        # one evaluation per derivation, in order, as the memo counts them
+        got = _outcome(reg, derivation_term(reg, d), model, force)
+        assert got == _outcome(reg, folded_term(reg, d), model, force)
+        try:
+            eval_term(folded_term(reg, d), {}, model, reg)
+        except ModelError as exc:
+            raised.append(str(exc))
+    # several derivations fail in evaluation, not only when forced
+    assert len(raised) > 1
+    assert set(raised) == {f"predicate {missing} is not declared in the model"}
+    assert [b for b in _branches(derivs) if b._memo is not None] == []
 
 
 def test_every_mode_kind_roundtrips():
