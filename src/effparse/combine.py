@@ -589,20 +589,31 @@ def _node_value(d: Derivation, model, reg: Registry):
             object.__setattr__(d, "_memo", None)
         return held[2]
     pending = [d.left, d.right]
+
+    def child_value(child):
+        del pending[0]  # reached: left, then right
+        return _node_value(child, model, reg)
     try:
-        # T_m1 (... (T_mk-1 T_mk)): each mode term evaluated in turn,
-        # then applied from the innermost out
-        fns = [eval_term(_mode_term(m), _NO_ENV, model, reg) for m in d.modes]
-        fn = fns.pop()
-        for outer in reversed(fns):
-            fn = apply_value(outer, fn)
-        fn = apply_value(fn, _node_value(pending.pop(0), model, reg))
-        value = apply_value(fn, _node_value(pending.pop(0), model, reg))
+        value = branch_value(d, model, reg, child_value)
     finally:
         for child in pending:  # those a failure kept it from reaching
             _release(child)
     object.__setattr__(d, "_memo", (model, reg, value) if uses > 0 else None)
     return value
+
+
+def branch_value(d: Branch, model, reg: Registry, child_value):
+    """The value of ``d`` given ``child_value(child)``, which returns or
+    raises a child's outcome.  Call-by-value order: the mode terms
+    ``T_m1 (... (T_mk-1 T_mk))``, each evaluated in turn and then applied
+    from the innermost out; the left child's value and the application to
+    it; the right child's value and the application to it."""
+    fns = [eval_term(_mode_term(m), _NO_ENV, model, reg) for m in d.modes]
+    fn = fns.pop()
+    for outer in reversed(fns):
+        fn = apply_value(outer, fn)
+    fn = apply_value(fn, child_value(d.left))
+    return apply_value(fn, child_value(d.right))
 
 
 def _release(d: Derivation) -> None:

@@ -2,27 +2,53 @@
 
 from __future__ import annotations
 
-from .combine import Branch, Derivation, Leaf, derivation_term, render_modes
+from .combine import Branch, Derivation, Leaf, branch_value, render_modes
 from .lambda_eval import EvalError, eval_term
 from .model import ModelError
 from .values import render as render_value
 
 
-def _value_text(reg, node: Derivation, model):
-    """The node's evaluated value as text, ``<error: ...>`` when evaluation
-    fails, or None without a model."""
+def _value_texts(reg, d: Derivation, model) -> dict:
+    """``id(node)`` to each node's evaluated value as text, or to
+    ``<error: ...>`` when its evaluation fails; empty without a model.
+
+    One bottom-up pass evaluates each node once.  A branch takes
+    its children's outcomes in the call-by-value order of
+    :func:`branch_value`, so it fails with the error evaluating it alone
+    would raise."""
     if model is None:
-        return None
-    try:
-        return render_value(eval_term(derivation_term(reg, node), {}, model, reg))
-    except (EvalError, ModelError) as exc:
-        return f"<error: {exc}>"
+        return {}
+    outcomes = {}  # id(node) -> (value, error)
+
+    def evaluate(node):
+        if isinstance(node, Branch):
+            evaluate(node.left)
+            evaluate(node.right)
+        try:
+            if isinstance(node, Leaf):
+                value = eval_term(node.entry.term, {}, model, reg)
+            else:
+                value = branch_value(node, model, reg, child_value)
+            outcomes[id(node)] = value, None
+        except (EvalError, ModelError) as exc:
+            outcomes[id(node)] = None, exc
+
+    def child_value(child):
+        value, error = outcomes[id(child)]
+        if error is not None:
+            raise error
+        return value
+
+    evaluate(d)
+    return {key: f"<error: {error}>" if error is not None else render_value(value)
+            for key, (value, error) in outcomes.items()}
 
 
 def derivation_to_text(reg, d: Derivation, model=None, indent: str = "") -> str:
     """Indented tree; per node: type, mode string, and (with a model) the
     evaluated value."""
     lines = []
+    texts = _value_texts(reg, d, model)
 
     def walk(node, depth):
         pad = indent + "  " * depth
@@ -30,18 +56,14 @@ def derivation_to_text(reg, d: Derivation, model=None, indent: str = "") -> str:
             label = f"{pad}{node.entry.surface} : {node.entry.ty}"
             if node.entry.category:
                 label += f"  [{node.entry.category}]"
-            v = _value_text(reg, node, model)
-            if v is not None:
-                label += f"  = {v}"
-            lines.append(label)
-            return
-        label = f"{pad}{node.ty}  [{render_modes(node.modes)}]"
-        v = _value_text(reg, node, model)
-        if v is not None:
-            label += f"  = {v}"
+        else:
+            label = f"{pad}{node.ty}  [{render_modes(node.modes)}]"
+        if texts:
+            label += f"  = {texts[id(node)]}"
         lines.append(label)
-        walk(node.left, depth + 1)
-        walk(node.right, depth + 1)
+        if isinstance(node, Branch):
+            walk(node.left, depth + 1)
+            walk(node.right, depth + 1)
 
     walk(d, 0)
     return "\n".join(lines)
@@ -51,6 +73,7 @@ def derivation_to_dot(reg, d: Derivation, model=None) -> str:
     lines = ["digraph derivation {", "  rankdir=TB;",
              '  node [shape=box, fontname="monospace"];']
     counter = [0]
+    texts = _value_texts(reg, d, model)
 
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
@@ -62,9 +85,8 @@ def derivation_to_dot(reg, d: Derivation, model=None) -> str:
             parts = [node.entry.surface, str(node.entry.ty)]
         else:
             parts = [str(node.ty), render_modes(node.modes)]
-        v = _value_text(reg, node, model)
-        if v is not None:
-            parts.append(v)
+        if texts:
+            parts.append(texts[id(node)])
         label = "\\n".join(esc(p) for p in parts)
         lines.append(f'  {me} [label="{label}"];')
         if isinstance(node, Branch):

@@ -8,6 +8,10 @@ characteristic predicates of entity subsets (every subset on models of at
 most five entities, singletons and their complements on larger ones), and
 every assignment/state sequence of length at most two.  That truncation
 makes value equality decidable at desk scale, which the law suites rely on.
+
+A state transformer runs once per distinct state: each ``StateV`` memoises
+its runs, keyed by the state, for as long as the value lives, so values
+that several derivations share do not repeat their runs when forced.
 """
 
 from __future__ import annotations
@@ -139,13 +143,41 @@ class ReaderV(Value):
 
 @dataclass(frozen=True, eq=False)
 class StateV(Value):
+    """A state transformer: ``run`` maps a state ``SeqV`` to a ``SetV`` of
+    ``PairV(value, state)`` outcomes.
+
+    ``run`` is memoised: the constructor wraps the given function, so each
+    ``StateV`` runs it once per distinct state, keyed by the state's
+    structural equality and hash, and returns the same outcome set at
+    every later call on an equal state.  That is sound because a run is a
+    pure function of its state under the model and registry the value was
+    built with, and outcomes are immutable.  A run that raises stores
+    nothing.  The memo is a dict in the wrapper's closure, which holds the
+    function and not the ``StateV``, so it adds no reference cycle and is
+    freed with the value."""
+
     run: object  # SeqV -> SetV of PairV(Value, SeqV)
+
+    def __init__(self, run):
+        object.__setattr__(self, "run", _memoised(run))
 
     def __eq__(self, other):
         return self is other
 
     def __hash__(self):
         return id(self)
+
+
+def _memoised(fn):
+    """``fn`` with a memo from argument to result; errors are not stored."""
+    memo = {}
+
+    def run(s):
+        out = memo.get(s)
+        if out is None:
+            out = memo[s] = fn(s)
+        return out
+    return run
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,15 +7,15 @@ import hypothesis.strategies as st
 
 from effparse import terms as T
 from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
-                              UnknownTokenError, _unpack, derivation_term,
-                              enumerate_modes, mode_count, mode_denotation, parse,
-                              parse_forest, parse_mode, parse_modes, prune,
-                              render_modes, replay_modes)
+                              UnknownTokenError, _unpack, branch_value,
+                              derivation_term, enumerate_modes, mode_count,
+                              mode_denotation, parse, parse_forest, parse_mode,
+                              parse_modes, prune, render_modes, replay_modes)
 from effparse.lambda_eval import EvalError, eval_term, join
 from effparse.lexicon import load_language, load_language_text, language_to_text
 from effparse.model import ModelError
 from effparse.typesys import Arrow, Base, Eff
-from effparse.values import SetV, E, values_equal
+from effparse.values import SetV, E, render as render_value, values_equal
 
 from .conftest import DATA
 from .test_cli_matrix import SENTENCES
@@ -337,6 +337,53 @@ def test_printed_values_do_not_depend_on_process_history(english, solar):
     assert any("<\\_x>" in text for text in before)
 
 
+@pytest.mark.parametrize("to_text", [True, False])
+def test_printing_a_tree_evaluates_each_node_once(english, solar, monkeypatch,
+                                                  to_text):
+    from effparse import render
+    reg = english.registry
+    words = ("a cat" + " in a box" * 4).split()
+    d = parse(words, english)[0]
+    evaluated = []
+
+    def counted(node, *args):
+        evaluated.append(node)
+        return branch_value(node, *args)
+    monkeypatch.setattr(render, "branch_value", counted)
+    if to_text:
+        printed = render.derivation_to_text(reg, d, solar)
+    else:
+        printed = render.derivation_to_dot(reg, d, solar)
+    branches = _branches([d])
+    assert len(branches) == len(words) - 1
+    assert sorted(map(id, evaluated)) == sorted(map(id, branches))
+    assert "<error" not in printed
+
+
+def test_a_printed_failure_is_the_error_of_evaluating_the_node(english, solar,
+                                                                syntax):
+    # "the cat" and "the box" fail with different errors, and their parent
+    # with the left one's, which call-by-value order reaches first
+    from effparse.render import derivation_to_text
+    reg = english.registry
+    model = _without(_without(solar, "cat"), "box")
+    d = parse("the cat chases the box".split(), english, syntax=syntax)[0]
+    printed = derivation_to_text(reg, d, model)
+    lines = iter(printed.splitlines())
+
+    def check(node):
+        want = _outcome(reg, folded_term(reg, node), model, render_value)
+        text = f"<error: {want[1]}>" if isinstance(want, tuple) else want
+        assert next(lines).endswith(f"  = {text}")
+        if isinstance(node, Branch):
+            check(node.left)
+            check(node.right)
+    check(d)
+    assert printed.splitlines()[0].endswith(
+        "<error: predicate cat is not declared in the model>")
+    assert "<error: predicate box is not declared in the model>" in printed
+
+
 def folded_term(reg, d):
     """The derivation's term with each base figure substituted into its
     wrappers' transformers, one fresh transformer term per node."""
@@ -386,11 +433,15 @@ def _without(model, pred):
 
 def _evaluation_orders(n):
     """(derivation index, model index) sequences: in order, reversed, each
-    derivation twice in a row, and interleaved across two models."""
-    return {"in order": [(i, 0) for i in range(n)],
-            "reversed": [(i, 0) for i in reversed(range(n))],
-            "twice": [(i, 0) for i in range(n) for _ in range(2)],
-            "two models": [(i, m) for i in range(n) for m in range(2)]}
+    derivation twice in a row, interleaved across two models, and the
+    first three in turn on one list, whose later passes force values and
+    state runs that earlier ones memoised."""
+    orders = {"in order": [(i, 0) for i in range(n)],
+              "reversed": [(i, 0) for i in reversed(range(n))],
+              "twice": [(i, 0) for i in range(n) for _ in range(2)],
+              "two models": [(i, m) for i in range(n) for m in range(2)]}
+    orders["all three"] = orders["in order"] + orders["reversed"] + orders["twice"]
+    return orders
 
 
 @pytest.mark.parametrize("with_syntax", [False, True])
@@ -399,6 +450,7 @@ def test_shared_mode_terms_evaluate_like_folded_terms(english, solar, syntax,
     # forced data, not values_equal: probing nested state over every short
     # sequence exceeds its probe depth on D D e and takes minutes.  Each
     # order evaluates a fresh derivation list, whose node memo starts empty.
+    # folded_term values share no node or state value across derivations.
     reg = english.registry
     models = (solar, _moved(solar))
     forcers = [_benchmark_forcer(model) for model in models]

@@ -1,7 +1,9 @@
+import gc
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,49 @@ def test_join_state_matches_explicit_two_layer_run(registry, law_model):
     want = oracle(s0)
     assert values_equal(got, want, law_model)
     assert len(got.elems) == 2
+
+
+def test_state_runs_once_per_distinct_state():
+    calls = []
+
+    def run(s):
+        calls.append(s)
+        return SetV([PairV(E("a"), s)])
+    st = StateV(run)
+    first = st.run(SeqV((E("a"), E("b"))))
+    again = st.run(SeqV((E("a"), E("b"))))  # equal, but another object
+    assert again is first
+    assert len(calls) == 1
+    assert st.run(SeqV(())) == SetV([PairV(E("a"), SeqV(()))])
+    assert len(calls) == 2
+
+
+def test_a_state_run_that_raises_runs_again():
+    calls = []
+
+    def run(s):
+        calls.append(s)
+        if len(calls) == 1:
+            raise ShapeError("first run fails")
+        return SetV([PairV(B(True), s)])
+    st = StateV(run)
+    with pytest.raises(ShapeError):
+        st.run(SeqV(()))
+    assert st.run(SeqV(())) == SetV([PairV(B(True), SeqV(()))])
+    assert len(calls) == 2
+
+
+def test_a_state_memo_adds_no_reference_cycle():
+    st = StateV(lambda s: SetV([PairV(E("a"), s)]))
+    for s in (SeqV(()), SeqV((E("a"),))):
+        st.run(s)
+    ref = weakref.ref(st)
+    gc.disable()
+    try:
+        del st
+        assert ref() is None  # freed by its reference count alone
+    finally:
+        gc.enable()
 
 
 def test_ap_examples(registry, law_model):
