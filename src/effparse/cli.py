@@ -6,11 +6,12 @@
 
 Commands: parse, eval, diagram, normalize, equal, check.
 
-Exit codes: 0 ok / at least one parse; 1 no parse; 2 file parse error or
-bad command-line argument (such as ``--max-derivations`` below 1); 3
-semantic or type error in a file; 4 unknown token; 5 derivation index out
-of range.  A derivation whose evaluation fails, for instance on a
-predicate the model lacks, prints ``<error: ...>`` in place of its value.
+Exit codes: 0 ok / at least one parse; 1 no parse; 2 a file that cannot
+be read, is not UTF-8 or does not parse, or a bad command-line argument
+(such as ``--max-derivations`` below 1); 3 semantic or type error in a
+file; 4 unknown token; 5 derivation index out of range.  A derivation
+whose evaluation fails, for instance on a predicate the model lacks,
+prints ``<error: ...>`` in place of its value.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .combine import UnknownTokenError, load_syntax, parse
-from .diagrams import diagram_to_dot, diagram_to_sexpr, eq_normalize, from_derivation
+from .combine import UnknownTokenError, derivation_term, load_syntax, outcome, parse
+from .diagrams import (PlanarityError, diagram_to_dot, diagram_to_sexpr, diagrams_equal,
+                       eq_normalize, from_derivation)
+from .lambda_eval import eval_term
 from .lexicon import (LanguageParseError, LanguageSemanticError, load_language,
                       load_model)
 from .model import ModelError
-from .render import derivation_to_dot, derivation_to_text
+from .render import derivation_to_dot, derivation_to_text, value_text
 from .sexpr import SexprError
 
 EXIT_OK = 0
@@ -32,6 +35,25 @@ EXIT_PARSE_ERROR = 2
 EXIT_SEMANTIC_ERROR = 3
 EXIT_UNKNOWN_TOKEN = 4
 EXIT_BAD_INDEX = 5
+
+
+class _BadIndex(Exception):
+    """A derivation index out of range."""
+
+
+# the exit code of each error a command reports; the most specific class
+# of an error that is listed here gives its code
+_EXIT_CODES = {
+    SexprError: EXIT_PARSE_ERROR,
+    LanguageParseError: EXIT_PARSE_ERROR,
+    UnicodeDecodeError: EXIT_PARSE_ERROR,
+    OSError: EXIT_PARSE_ERROR,
+    LanguageSemanticError: EXIT_SEMANTIC_ERROR,
+    ModelError: EXIT_SEMANTIC_ERROR,
+    PlanarityError: EXIT_SEMANTIC_ERROR,
+    UnknownTokenError: EXIT_UNKNOWN_TOKEN,
+    _BadIndex: EXIT_BAD_INDEX,
+}
 
 
 def _argparser() -> argparse.ArgumentParser:
@@ -73,109 +95,70 @@ def main(argv=None) -> int:
     if args.max_derivations < 1:
         parser.error("argument --max-derivations: must be at least 1, "
                      f"got {args.max_derivations}")
-    out = sys.stdout
-
     try:
-        lex = load_language(args.language)
-        model = load_model(args.model)
-        syntax = load_syntax(args.syntax) if args.syntax else None
-    except (SexprError, LanguageParseError) as exc:
+        return _run(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except (LanguageSemanticError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
+
+def _run(args) -> int:
+    """Run the command and return its exit code; the errors it reports
+    propagate to :func:`main`."""
+    lex = load_language(args.language)
+    model = load_model(args.model)
+    syntax = load_syntax(args.syntax) if args.syntax else None
     if args.command == "check":
         print(f"language ok: {len(lex.entries)} entries, "
               f"{len(lex.registry.functor_names())} functors, "
-              f"max effect rank {lex.max_effect_rank}", file=out)
+              f"max effect rank {lex.max_effect_rank}")
         print(f"model ok: {len(model.entities)} entities, "
-              f"{len(model.predicates)} predicates", file=out)
+              f"{len(model.predicates)} predicates")
         return EXIT_OK
 
-    tokens = _tokenize(args.sentence)
-    if not tokens:
-        print("no parse", file=out)
-        return EXIT_NO_PARSE
-    try:
-        derivs = parse(tokens, lex, syntax=syntax,
-                       prune_seqs=not args.no_prune,
-                       max_derivations=args.max_derivations)
-    except UnknownTokenError as exc:
-        print(f"error: unknown token {exc.token!r} at position {exc.position}",
-              file=sys.stderr)
-        return EXIT_UNKNOWN_TOKEN
+    derivs = parse(_tokenize(args.sentence), lex, syntax=syntax,
+                   prune_seqs=not args.no_prune, max_derivations=args.max_derivations)
     if not derivs:
-        print("no parse", file=out)
+        print("no parse")
         return EXIT_NO_PARSE
 
     reg = lex.registry
+    show = derivs if args.all_parses else derivs[:1]
     if args.command == "parse":
-        show = derivs if args.all_parses else derivs[:1]
+        values_in = model if args.evaluate else None
         for n, d in enumerate(show):
-            print(f"derivation {n}: {d.ty}", file=out)
+            print(f"derivation {n}: {d.ty}")
             if args.render == "dot":
-                print(derivation_to_dot(reg, d, model if args.evaluate else None),
-                      file=out)
+                print(derivation_to_dot(reg, d, values_in))
             else:
-                print(derivation_to_text(reg, d, model if args.evaluate else None,
-                                         indent="  "), file=out)
+                print(derivation_to_text(reg, d, values_in, indent="  "))
         return EXIT_OK
 
     if args.command == "eval":
-        from .lambda_eval import EvalError, eval_term
-        from .combine import derivation_term
-        from .values import render as render_value
-        show = derivs if args.all_parses else derivs[:1]
         for n, d in enumerate(show):
-            try:
-                v = render_value(eval_term(derivation_term(reg, d), {}, model, reg))
-            except (EvalError, ModelError) as exc:
-                v = f"<error: {exc}>"
-            print(f"derivation {n}: {d.ty} = {v}", file=out)
-        return EXIT_OK
-
-    from .diagrams import PlanarityError
-
-    if args.command in ("diagram", "normalize"):
-        if not 0 <= args.index < len(derivs):
-            print(f"error: derivation index {args.index} out of range "
-                  f"(found {len(derivs)})", file=sys.stderr)
-            return EXIT_BAD_INDEX
-        try:
-            dg = from_derivation(reg, derivs[args.index])
-        except PlanarityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SEMANTIC_ERROR
-        if args.command == "normalize" or args.normalize:
-            dg = eq_normalize(dg)
-        if args.render == "dot":
-            print(diagram_to_dot(dg), file=out)
-        else:
-            print(diagram_to_sexpr(dg), file=out)
+            v = value_text(outcome(eval_term, derivation_term(reg, d), {}, model, reg))
+            print(f"derivation {n}: {d.ty} = {v}")
         return EXIT_OK
 
     if args.command == "equal":
         i, j = args.indices
         if not (0 <= i < len(derivs) and 0 <= j < len(derivs)):
-            print(f"error: derivation indices {i}, {j} out of range "
-                  f"(found {len(derivs)})", file=sys.stderr)
-            return EXIT_BAD_INDEX
-        from .diagrams import diagrams_equal
-        try:
-            same = diagrams_equal(from_derivation(reg, derivs[i]),
-                                  from_derivation(reg, derivs[j]))
-        except PlanarityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SEMANTIC_ERROR
-        print("equal" if same else "distinct", file=out)
+            raise _BadIndex(f"derivation indices {i}, {j} out of range "
+                            f"(found {len(derivs)})")
+        same = diagrams_equal(from_derivation(reg, derivs[i]),
+                              from_derivation(reg, derivs[j]))
+        print("equal" if same else "distinct")
         return EXIT_OK
 
-    raise AssertionError(f"unhandled command {args.command}")
+    # diagram and normalize
+    if not 0 <= args.index < len(derivs):
+        raise _BadIndex(f"derivation index {args.index} out of range "
+                        f"(found {len(derivs)})")
+    dg = from_derivation(reg, derivs[args.index])
+    if args.command == "normalize" or args.normalize:
+        dg = eq_normalize(dg)
+    print(diagram_to_dot(dg) if args.render == "dot" else diagram_to_sexpr(dg))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

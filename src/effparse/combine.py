@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from . import sexpr
 from . import terms as T
 from .lambda_eval import COMPILE, apply_value, eval_term
-from .lexicon import LexEntry, Lexicon
+from .lexicon import LanguageParseError, LexEntry, Lexicon
 from .typesys import Arrow, Base, Eff, Registry, Ty, deep_effect_count
 
 
@@ -309,10 +309,6 @@ def _rewrapped(reg, rule, mode, ty):
 
 # -- enumeration -----------------------------------------------------------
 
-def _seq_sort_key(seq) -> tuple:
-    return tuple(m.render() for m in seq)
-
-
 def modes_by_type(reg: Registry, left: Ty, right: Ty, pruned: bool = False,
                   seq_cap: int | None = None) -> dict:
     """Mode sequences combining two constituent types, grouped by result
@@ -368,7 +364,7 @@ def modes_by_type(reg: Registry, left: Ty, right: Ty, pruned: bool = False,
             new = (mode,) + seq
             if not (pruned and _banned_prefix(mode, seq, reg)) and add(new, res):
                 frontier.append((res, new))
-    result = {ty: tuple(sorted(seqs, key=_seq_sort_key)[:seq_cap])
+    result = {ty: tuple(sorted(seqs, key=render_modes)[:seq_cap])
               for ty, seqs in out.items()}
     reg._combo_cache[key] = result
     return result
@@ -515,7 +511,9 @@ class Leaf(Derivation):
 class Branch(Derivation):
     """A combination of two subderivations.  Beside its fields it carries
     the node memo's state: ``_uses``, the uses of its value still to come,
-    and ``_memo``, ``(model, reg, value)`` or None (see :func:`_node_value`)."""
+    and ``_memo``, ``(model, reg, outcome)`` or None, where the outcome is
+    the value or the :class:`Failure` its evaluation raised (see
+    :func:`_node_value`)."""
 
     ty: Ty
     modes: tuple
@@ -555,10 +553,10 @@ def derivation_term(reg: Registry, d: Derivation) -> T.Term:
     evaluated call-by-value in that order: a beta-redex of substituting
     each figure into its wrapper's transformer, so it has that term's
     value.  Each mode's term is built and compiled once per process.
-    Branches of one :meth:`Forest.derivations` list share a value memo:
-    each branch is evaluated once, and its value is dropped after its last
-    use, so evaluating the list in order holds only the values still to
-    be used.
+    Branches of one :meth:`Forest.derivations` list share a memo of
+    outcomes: each branch is evaluated once, whether it yields a value or
+    raises, and its outcome is dropped after its last use, so evaluating
+    the list in order holds only the outcomes still to be used.
     """
     if isinstance(d, Leaf):
         return d.entry.term
@@ -571,64 +569,68 @@ _NO_ENV: dict = {}
 def _node_value(d: Derivation, model, reg: Registry):
     """The value of a derivation node under ``model`` and ``reg``.
 
-    A branch counts its uses down from what :meth:`Forest.derivations`
-    recorded (one per parent, one as a root).  It keeps its value, keyed
-    by the identity of ``(model, reg)``, while uses remain, and drops it
-    at the last one.  A branch used out of order, more often than counted,
-    under another model, or not made by ``derivations`` is recomputed.
-    Errors are never kept: a branch whose evaluation raises is evaluated
-    again at its next use.
+    A branch keeps its :func:`outcome`, its value or the exception its
+    evaluation raised, keyed by the identity of ``(model, reg)``, and a
+    kept exception is raised again at each use.  It counts its uses down
+    from what :meth:`Forest.derivations` recorded (one per parent, one as
+    a root) and drops the outcome at the last one.  Its evaluation uses
+    each child once, whether or not it fails, so evaluating the list in
+    order spends every recorded use once.  A branch used out of order,
+    more often than counted, under another model, or not made by
+    ``derivations`` is recomputed.
     """
     if isinstance(d, Leaf):
         return eval_term(d.entry.term, _NO_ENV, model, reg)
     uses = d._uses - 1
     object.__setattr__(d, "_uses", uses)
     held = d._memo
-    if held is not None and held[0] is model and held[1] is reg:
-        if uses <= 0:
-            object.__setattr__(d, "_memo", None)
-        return held[2]
-    pending = [d.left, d.right]
+    if held is None or held[0] is not model or held[1] is not reg:
+        held = model, reg, outcome(branch_value, d, model, reg,
+                                   lambda child: outcome(_node_value, child, model, reg))
+    object.__setattr__(d, "_memo", held if uses > 0 else None)
+    return value_of(held[2])
 
-    def child_value(child):
-        del pending[0]  # reached: left, then right
-        return _node_value(child, model, reg)
+
+@dataclass(frozen=True)
+class Failure:
+    """The exception an evaluation raised, with its traceback when caught."""
+
+    error: Exception
+    traceback: object
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the :class:`Failure` of the exception it raised."""
     try:
-        value = branch_value(d, model, reg, child_value)
-    finally:
-        for child in pending:  # those a failure kept it from reaching
-            _release(child)
-    object.__setattr__(d, "_memo", (model, reg, value) if uses > 0 else None)
-    return value
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - kept, and raised by value_of
+        return Failure(exc, exc.__traceback__)
 
 
-def branch_value(d: Branch, model, reg: Registry, child_value):
-    """The value of ``d`` given ``child_value(child)``, which returns or
-    raises a child's outcome.  Call-by-value order: the mode terms
-    ``T_m1 (... (T_mk-1 T_mk))``, each evaluated in turn and then applied
-    from the innermost out; the left child's value and the application to
-    it; the right child's value and the application to it."""
+def value_of(result):
+    """The value of an :func:`outcome`.  A failure raises its error with
+    the traceback it was caught with, so raising a kept error at each use
+    does not grow its traceback."""
+    if isinstance(result, Failure):
+        raise result.error.with_traceback(result.traceback)
+    return result
+
+
+def branch_value(d: Branch, model, reg: Registry, child_outcome):
+    """The value of ``d`` given ``child_outcome(child)``, a child's
+    :func:`outcome`.  Both children are taken, left then right, and the
+    first failure in call-by-value order is raised: the left child's, the
+    right child's, then the application's.  The mode terms
+    ``T_m1 (... (T_mk-1 T_mk))`` are evaluated and applied from the
+    innermost out, then to the left value and to the right value; every
+    mode term has the form ``λx.λy. …``, so the application to the left
+    value only builds a closure and cannot fail."""
+    left, right = child_outcome(d.left), child_outcome(d.right)
     fns = [eval_term(_mode_term(m), _NO_ENV, model, reg) for m in d.modes]
     fn = fns.pop()
     for outer in reversed(fns):
         fn = apply_value(outer, fn)
-    fn = apply_value(fn, child_value(d.left))
-    return apply_value(fn, child_value(d.right))
-
-
-def _release(d: Derivation) -> None:
-    """Count a use of ``d`` that will not come, because its parent failed
-    before reaching it.  At the last use its value is dropped.  A branch
-    that holds none then was never evaluated, so its uses of its children
-    will not come either; or its evaluation failed, and releasing its
-    children once more only makes them recompute sooner."""
-    if isinstance(d, Branch):
-        object.__setattr__(d, "_uses", d._uses - 1)
-        if d._uses == 0:
-            if d._memo is None:
-                _release(d.left)
-                _release(d.right)
-            object.__setattr__(d, "_memo", None)
+    return apply_value(apply_value(fn, value_of(left)), value_of(right))
 
 
 COMPILE[NodeTerm] = lambda t: lambda env, model, reg: _node_value(t.node, model, reg)
@@ -701,7 +703,8 @@ def load_syntax_text(text: str) -> SyntaxCFG:
     edges: dict = {}
     for form in forms:
         if not isinstance(form, sexpr.Node) or not form.items or form.items[0] != "rule":
-            raise ModeError("syntax files contain only (rule ...) forms")
+            raise LanguageParseError("syntax files contain only (rule ...) forms",
+                                     getattr(form, "line", 0))
         items = form.items
         if len(items) == 4:
             key = (items[2], items[3])
@@ -709,7 +712,8 @@ def load_syntax_text(text: str) -> SyntaxCFG:
         elif len(items) == 3:
             edges.setdefault(items[2], set()).add(items[1])
         else:
-            raise ModeError("rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)")
+            raise LanguageParseError(
+                "rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)", form.line)
     unary = {}
     for cat in set(edges) | {c for tgts in edges.values() for c in tgts}:
         seen = {cat}

@@ -8,10 +8,12 @@ once per process.  The closures take the environment, model and registry
 on every call and capture none of them, so one compiled term serves any
 model; errors (unbound variables, terms no rule compiles) are raised when
 the term is evaluated, not when it is compiled.  ``combine`` adds the rule
-for derivation nodes: a branch's term evaluates through a value memo kept
-on the branch, so a subtree shared by many derivations of one list is
-evaluated once, and its value is dropped after its last use.  Errors are
-never memoised.
+for derivation nodes: a branch's term evaluates through a memo kept on the
+branch, so a subtree shared by many derivations of one list is evaluated
+once.  The memo keeps the branch's outcome, its value or the exception its
+evaluation raised, and drops it after its last use.  Every state
+transformer built here checks the outcomes of each run once, inside the
+``StateV`` memo.
 
 Evaluation is deterministic and left-to-right; quantifiers and set
 builders range over the model's entities; predicates read the model's
@@ -283,13 +285,21 @@ def _expect(f: str, v, cls):
 
 
 def _run_state(v, s):
-    out = _expect("D", v, StateV).run(s)
-    if not isinstance(out, SetV):
-        raise ShapeError("a state carrier must yield a set of outcomes")
-    for pr in out.elems:
-        if not isinstance(pr, PairV) or not isinstance(pr.right, SeqV):
-            raise ShapeError("state outcomes must be (value, state) pairs")
-    return out
+    return _expect("D", v, StateV).run(s)
+
+
+def _state(run):
+    """A ``StateV`` whose runs check their outcomes.  The check runs
+    inside the value's memo, so each stored run is checked once."""
+    def checked(s):
+        out = run(s)
+        if not isinstance(out, SetV):
+            raise ShapeError("a state carrier must yield a set of outcomes")
+        for pr in out.elems:
+            if not isinstance(pr, PairV) or not isinstance(pr.right, SeqV):
+                raise ShapeError("state outcomes must be (value, state) pairs")
+        return out
+    return StateV(checked)
 
 
 @dataclass(frozen=True)
@@ -327,7 +337,7 @@ def _fmap_state(fn, st):
     def run(s):
         return SetV(PairV(apply_value(fn, pr.left), pr.right)
                     for pr in _run_state(st, s).elems)
-    return StateV(run)
+    return _state(run)
 
 
 def _join_state(st):
@@ -336,21 +346,12 @@ def _join_state(st):
         for pr in _run_state(st, s).elems:
             out.extend(_run_state(pr.left, pr.right).elems)
         return SetV(out)
-    return StateV(run)
+    return _state(run)
 
 
 def _state_type(reg, a):
     s = reg.base_type("s")
     return Arrow(s, Eff("S", Prod(a, s)))
-
-
-def _coerce_state(fn):
-    def run(s):
-        out = fn.run(s)
-        if not isinstance(out, SetV):
-            raise ShapeError("a state carrier must yield a set of outcomes")
-        return out
-    return StateV(run)
 
 
 CARRIERS = {
@@ -384,8 +385,9 @@ CARRIERS = {
                  coerce=lambda fn: ContV(lambda c: fn.run(Fn(c, label="cont")))),
     # state over discourse sequences: state -> set of (value, state) pairs
     "D": Carrier(StateV, fmap=_fmap_state,
-                 eta=lambda v: StateV(lambda s: SetV([PairV(v, s)])),
-                 join=_join_state, literal=_state_type, coerce=_coerce_state),
+                 eta=lambda v: _state(lambda s: SetV([PairV(v, s)])),
+                 join=_join_state, literal=_state_type,
+                 coerce=lambda fn: _state(fn.run)),
     # optionality with absent #
     "M": Carrier(MaybeV,
                  fmap=lambda fn, m: (m if m.absent

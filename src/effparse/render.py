@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .combine import Branch, Derivation, Leaf, branch_value, render_modes
+from .combine import (Branch, Derivation, Failure, Leaf, branch_value, outcome,
+                      render_modes, value_of)
 from .lambda_eval import EvalError, eval_term
 from .model import ModelError
 from .values import render as render_value
@@ -10,38 +11,35 @@ from .values import render as render_value
 
 def _value_texts(reg, d: Derivation, model) -> dict:
     """``id(node)`` to each node's evaluated value as text, or to
-    ``<error: ...>`` when its evaluation fails; empty without a model.
+    ``<error: ...>`` when its evaluation fails with an :class:`EvalError`
+    or :class:`ModelError`; empty without a model.  Other errors propagate.
 
-    One bottom-up pass evaluates each node once.  A branch takes
-    its children's outcomes in the call-by-value order of
-    :func:`branch_value`, so it fails with the error evaluating it alone
-    would raise."""
+    One bottom-up pass evaluates each node once.  A branch takes its
+    children's outcomes through :func:`branch_value`, so it fails with the
+    error evaluating it alone would raise."""
     if model is None:
         return {}
-    outcomes = {}  # id(node) -> (value, error)
+    outcomes = {}  # id(node) -> value or Failure, in evaluation order
 
     def evaluate(node):
-        if isinstance(node, Branch):
-            evaluate(node.left)
-            evaluate(node.right)
-        try:
-            if isinstance(node, Leaf):
-                value = eval_term(node.entry.term, {}, model, reg)
-            else:
-                value = branch_value(node, model, reg, child_value)
-            outcomes[id(node)] = value, None
-        except (EvalError, ModelError) as exc:
-            outcomes[id(node)] = None, exc
-
-    def child_value(child):
-        value, error = outcomes[id(child)]
-        if error is not None:
-            raise error
-        return value
+        if isinstance(node, Leaf):
+            result = outcome(eval_term, node.entry.term, {}, model, reg)
+        else:
+            result = outcome(branch_value, node, model, reg, evaluate)
+        outcomes[id(node)] = result
+        return result
 
     evaluate(d)
-    return {key: f"<error: {error}>" if error is not None else render_value(value)
-            for key, (value, error) in outcomes.items()}
+    return {key: value_text(result) for key, result in outcomes.items()}
+
+
+def value_text(result) -> str:
+    """An :func:`~effparse.combine.outcome` as text: the value, or
+    ``<error: ...>`` for an :class:`EvalError` or :class:`ModelError`;
+    other errors are raised."""
+    if isinstance(result, Failure) and isinstance(result.error, (EvalError, ModelError)):
+        return f"<error: {result.error}>"
+    return render_value(value_of(result))
 
 
 def derivation_to_text(reg, d: Derivation, model=None, indent: str = "") -> str:

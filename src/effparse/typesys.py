@@ -175,8 +175,11 @@ class NatDef:
 class Registry:
     """Declared base types, functors, nats and adjunctions.
 
-    Built once (by the language loader or by tests) and then treated as
-    read-only; safe to share between concurrent readers.
+    Its declarations are built once (by the language loader or by tests)
+    and then only read.  The registry itself is not read-only: parsing
+    fills ``_combo_cache``, where :func:`effparse.combine.modes_by_type`
+    keeps the mode sequences of each pair of child types it meets, without
+    bound.
     """
 
     def __init__(self):

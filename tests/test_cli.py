@@ -80,7 +80,9 @@ def test_language_semantic_error_exit_3(capsys, tmp_path):
     ("--language", "(nat n :from S :to () :handler true :impl identity)", ":from expects a list"),
     ("--model", "(entity)", "malformed entity form"),
     ("--model", "(pred p)", "malformed pred form"),
-], ids=["nat", "entity", "pred"])
+    ("--syntax", "(rule S)", "rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)"),
+    ("--syntax", "(foo S NP VP)", "syntax files contain only (rule ...) forms"),
+], ids=["nat", "entity", "pred", "short rule", "not a rule"])
 def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, message):
     bad = tmp_path / "bad"
     bad.write_text("\n" + form + "\n")
@@ -88,6 +90,17 @@ def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, me
     code, out, err = run(capsys, "check", *(x for kv in files.items() for x in kv))
     assert code == 2
     assert f"line 2: {message}" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("flag", ["--language", "--model", "--syntax"])
+def test_a_file_that_is_not_utf8_is_a_parse_error_exit_2(capsys, tmp_path, flag):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff(rule S NP VP)\n")
+    files = {"--language": LANG, "--model": MODEL, "--syntax": CFG, flag: str(bad)}
+    code, out, err = run(capsys, "check", *(x for kv in files.items() for x in kv))
+    assert code == 2
+    assert "can't decode byte 0xff" in err
     assert "Traceback" not in out + err
 
 

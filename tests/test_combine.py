@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import importlib.util
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from effparse import terms as T
 from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               UnknownTokenError, _unpack, branch_value,
                               derivation_term, enumerate_modes, mode_count,
-                              mode_denotation, parse, parse_forest, parse_mode,
-                              parse_modes, prune, render_modes, replay_modes)
+                              mode_denotation, outcome, parse, parse_forest,
+                              parse_mode, parse_modes, prune, render_modes,
+                              replay_modes, value_of)
 from effparse.lambda_eval import EvalError, eval_term, join
 from effparse.lexicon import load_language, load_language_text, language_to_text
 from effparse.model import ModelError
@@ -502,16 +505,23 @@ def test_node_values_are_dropped_after_their_last_use(english, solar, syntax,
 @pytest.mark.parametrize("sentence, with_syntax, missing", [
     ("the cat in the box sleeps", False, "sleep"),
     ("the cat in the box in the box sleeps", True, "sleep"),
-    # some roots fail before they reach a branch that others evaluate
+    # the left child of some roots fails, and their right child is still used
     ("the cat in the box eats a mouse", False, "cat"),
-    # and some branches are reached by no root at all
+    # and some branches fail on both sides
     ("a cat in the box chases the mouse in a box", False, "box")])
 def test_a_failing_shared_node_fails_every_derivation_that_uses_it(
-        english, solar, syntax, sentence, with_syntax, missing):
+        english, solar, syntax, monkeypatch, sentence, with_syntax, missing):
+    from effparse import combine
     reg = english.registry
     model = _without(solar, missing)
     force = _benchmark_forcer(model)
     derivs = parse(sentence.split(), english, syntax=syntax if with_syntax else None)
+    evaluated = collections.Counter()
+
+    def counted(node, *args):
+        evaluated[id(node)] += 1
+        return branch_value(node, *args)
+    monkeypatch.setattr(combine, "branch_value", counted)
     raised = []
     for d in derivs:
         # one evaluation per derivation, in order, as the memo counts them
@@ -524,7 +534,28 @@ def test_a_failing_shared_node_fails_every_derivation_that_uses_it(
     # several derivations fail in evaluation, not only when forced
     assert len(raised) > 1
     assert set(raised) == {f"predicate {missing} is not declared in the model"}
-    assert [b for b in _branches(derivs) if b._memo is not None] == []
+    # a failure is kept like a value: each branch is evaluated once, and
+    # every counted use is spent
+    branches = _branches(derivs)
+    assert max(evaluated.values()) == 1
+    assert set(evaluated) == {id(b) for b in branches}
+    assert [b for b in branches if b._memo is not None] == []
+    assert {b._uses for b in branches} == {0}
+
+
+def test_a_kept_failure_is_raised_with_the_traceback_it_was_caught_with():
+    def fail():
+        raise EvalError("boom")
+    kept = outcome(fail)
+    frames = []
+    for _ in range(3):
+        with pytest.raises(EvalError, match="boom") as info:
+            value_of(kept)
+        frames.append([f.name for f in traceback.extract_tb(info.value.__traceback__)])
+    # raising it again does not grow its traceback, which still ends where
+    # the error was raised
+    assert frames[0] == frames[1] == frames[2]
+    assert frames[0][-1] == "fail"
 
 
 def test_every_mode_kind_roundtrips():
