@@ -9,9 +9,10 @@ Commands: parse, eval, diagram, normalize, equal, check.
 Exit codes: 0 ok / at least one parse; 1 no parse; 2 a file that cannot
 be read, is not UTF-8 or does not parse, or a bad command-line argument
 (such as ``--max-derivations`` below 1); 3 semantic or type error in a
-file; 4 unknown token; 5 derivation index out of range.  A derivation
-whose evaluation fails, for instance on a predicate the model lacks,
-prints ``<error: ...>`` in place of its value.
+file; 4 unknown token; 5 derivation index out of range.  An error in a
+file names the file.  A derivation whose evaluation fails, for instance
+on a predicate the model lacks, prints ``<error: ...>`` in place of its
+value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .lexicon import (LanguageParseError, LanguageSemanticError, load_language,
                       load_model)
 from .model import ModelError
 from .render import derivation_to_dot, derivation_to_text, value_text
-from .sexpr import SexprError
 
 EXIT_OK = 0
 EXIT_NO_PARSE = 1
@@ -44,9 +44,7 @@ class _BadIndex(Exception):
 # the exit code of each error a command reports; the most specific class
 # of an error that is listed here gives its code
 _EXIT_CODES = {
-    SexprError: EXIT_PARSE_ERROR,
     LanguageParseError: EXIT_PARSE_ERROR,
-    UnicodeDecodeError: EXIT_PARSE_ERROR,
     OSError: EXIT_PARSE_ERROR,
     LanguageSemanticError: EXIT_SEMANTIC_ERROR,
     ModelError: EXIT_SEMANTIC_ERROR,

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from . import sexpr
 from . import terms as T
-from .lambda_eval import COMPILE, apply_value, eval_term
-from .lexicon import LanguageParseError, LexEntry, Lexicon
+from .lambda_eval import COMPILE, EVAL_ERRORS, apply_value, eval_term
+from .lexicon import LanguageParseError, LexEntry, Lexicon, load_file, load_forms
 from .typesys import Arrow, Base, Eff, Registry, Ty, deep_effect_count
 
 
@@ -512,8 +511,7 @@ class Branch(Derivation):
     """A combination of two subderivations.  Beside its fields it carries
     the node memo's state: ``_uses``, the uses of its value still to come,
     and ``_memo``, ``(model, reg, outcome)`` or None, where the outcome is
-    the value or the :class:`Failure` its evaluation raised (see
-    :func:`_node_value`)."""
+    the value or the evaluation error it raised (see :func:`_node_value`)."""
 
     ty: Ty
     modes: tuple
@@ -555,8 +553,9 @@ def derivation_term(reg: Registry, d: Derivation) -> T.Term:
     value.  Each mode's term is built and compiled once per process.
     Branches of one :meth:`Forest.derivations` list share a memo of
     outcomes: each branch is evaluated once, whether it yields a value or
-    raises, and its outcome is dropped after its last use, so evaluating
-    the list in order holds only the outcomes still to be used.
+    raises one of :data:`~effparse.lambda_eval.EVAL_ERRORS`, and its
+    outcome is dropped after its last use, so evaluating the list in order
+    holds only the outcomes still to be used.
     """
     if isinstance(d, Leaf):
         return d.entry.term
@@ -569,15 +568,15 @@ _NO_ENV: dict = {}
 def _node_value(d: Derivation, model, reg: Registry):
     """The value of a derivation node under ``model`` and ``reg``.
 
-    A branch keeps its :func:`outcome`, its value or the exception its
-    evaluation raised, keyed by the identity of ``(model, reg)``, and a
-    kept exception is raised again at each use.  It counts its uses down
-    from what :meth:`Forest.derivations` recorded (one per parent, one as
-    a root) and drops the outcome at the last one.  Its evaluation uses
-    each child once, whether or not it fails, so evaluating the list in
-    order spends every recorded use once.  A branch used out of order,
-    more often than counted, under another model, or not made by
-    ``derivations`` is recomputed.
+    A branch keeps its :func:`outcome`, its value or the evaluation error
+    it raised, keyed by the identity of ``(model, reg)``, and a kept error
+    is raised again at each use; any other exception propagates.  It
+    counts its uses down from what :meth:`Forest.derivations` recorded
+    (one per parent, one as a root) and drops the outcome at the last one.
+    Its evaluation uses each child once, whether or not it fails, so
+    evaluating the list in order spends every recorded use once.  A branch
+    used out of order, more often than counted, under another model, or
+    not made by ``derivations`` is recomputed.
     """
     if isinstance(d, Leaf):
         return eval_term(d.entry.term, _NO_ENV, model, reg)
@@ -591,28 +590,22 @@ def _node_value(d: Derivation, model, reg: Registry):
     return value_of(held[2])
 
 
-@dataclass(frozen=True)
-class Failure:
-    """The exception an evaluation raised, with its traceback when caught."""
-
-    error: Exception
-    traceback: object
-
-
 def outcome(f, *args):
-    """``f(*args)``, or the :class:`Failure` of the exception it raised."""
+    """``f(*args)``, or the error it raised if that is one of
+    :data:`~effparse.lambda_eval.EVAL_ERRORS`, kept without its traceback,
+    so a kept error holds no frames of the evaluation that raised it.  Any
+    other exception propagates at once."""
     try:
         return f(*args)
-    except Exception as exc:  # noqa: BLE001 - kept, and raised by value_of
-        return Failure(exc, exc.__traceback__)
+    except EVAL_ERRORS as exc:
+        return exc.with_traceback(None)
 
 
 def value_of(result):
-    """The value of an :func:`outcome`.  A failure raises its error with
-    the traceback it was caught with, so raising a kept error at each use
-    does not grow its traceback."""
-    if isinstance(result, Failure):
-        raise result.error.with_traceback(result.traceback)
+    """The value of an :func:`outcome`.  A kept error is raised with a
+    fresh traceback, so raising it at each use does not grow it."""
+    if isinstance(result, EVAL_ERRORS):
+        raise result.with_traceback(None)
     return result
 
 
@@ -698,22 +691,21 @@ class SyntaxCFG:
 
 
 def load_syntax_text(text: str) -> SyntaxCFG:
-    forms = sexpr.parse(text)
     binary: dict = {}
     edges: dict = {}
-    for form in forms:
-        if not isinstance(form, sexpr.Node) or not form.items or form.items[0] != "rule":
-            raise LanguageParseError("syntax files contain only (rule ...) forms",
-                                     getattr(form, "line", 0))
+
+    def rule(form, line):
         items = form.items
         if len(items) == 4:
-            key = (items[2], items[3])
-            binary.setdefault(key, set()).add(items[1])
+            binary.setdefault((items[2], items[3]), set()).add(items[1])
         elif len(items) == 3:
             edges.setdefault(items[2], set()).add(items[1])
         else:
             raise LanguageParseError(
-                "rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)", form.line)
+                "rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)", line)
+
+    load_forms(text, {"rule": rule},
+               unknown="syntax files contain only (rule ...) forms")
     unary = {}
     for cat in set(edges) | {c for tgts in edges.values() for c in tgts}:
         seen = {cat}
@@ -729,8 +721,7 @@ def load_syntax_text(text: str) -> SyntaxCFG:
 
 
 def load_syntax(path) -> SyntaxCFG:
-    with open(path, encoding="utf-8") as fh:
-        return load_syntax_text(fh.read())
+    return load_file(path, load_syntax_text)
 
 
 # -- chart parsing -------------------------------------------------------------

@@ -10,10 +10,13 @@ model; errors (unbound variables, terms no rule compiles) are raised when
 the term is evaluated, not when it is compiled.  ``combine`` adds the rule
 for derivation nodes: a branch's term evaluates through a memo kept on the
 branch, so a subtree shared by many derivations of one list is evaluated
-once.  The memo keeps the branch's outcome, its value or the exception its
-evaluation raised, and drops it after its last use.  Every state
-transformer built here checks the outcomes of each run once, inside the
-``StateV`` memo.
+once.  The memo keeps the branch's outcome, its value or the error its
+evaluation raised, and drops it after its last use.  ``EVAL_ERRORS``
+lists the errors evaluation raises because of the language or model it
+runs on; they are kept without their tracebacks and printed as
+``<error: ...>``, and any other exception is a fault in the program and
+propagates.  Every state transformer built here checks the outcomes of
+each run once, inside the ``StateV`` memo.
 
 Evaluation is deterministic and left-to-right; quantifiers and set
 builders range over the model's entities; predicates read the model's
@@ -21,8 +24,8 @@ extensions.  Each registered effect functor is backed by the value
 carrier that ``CARRIERS`` defines for its name.  ``P`` is the left
 adjoint of ``G``; the counit applies the reader inside a pair to the
 paired assignment.  Functors registered under other names type-check and
-appear in diagrams but have no runtime carrier, and evaluating them
-raises.
+appear in diagrams but have no runtime carrier: evaluating them raises
+``UnknownEffectError``, one of ``EVAL_ERRORS``.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import terms as T
-from .model import Model
+from .model import Model, ModelError
 from .typesys import (Arrow, CapabilityError, Eff, NatDef, Prod, Registry,
-                      UnknownEffectError)
+                      TypeSysError, UnknownEffectError)
 from .values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
-                     SetV, StateV, render, values_equal)
+                     SetV, StateV, ValueError_, render, values_equal)
 
 
 class EvalError(Exception):
@@ -52,6 +55,12 @@ class NotAFunctionError(EvalError):
 
 class ShapeError(EvalError):
     """A value does not have the carrier shape an operation expects."""
+
+
+# what evaluation may raise because of the language or model it runs on:
+# a value of the wrong shape, a predicate or entity the model lacks, a
+# functor with no runtime carrier, or values that cannot be compared
+EVAL_ERRORS = (EvalError, ModelError, TypeSysError, ValueError_)
 
 
 def apply_value(fn, arg):

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, fields
 
 from . import sexpr
 from . import terms as T
-from .lambda_eval import SPOT_PAYLOADS, eta, run_handler
+from .lambda_eval import BUILTIN_NATS, EVAL_ERRORS, SPOT_PAYLOADS, eta, run_handler
 from .model import Model, ModelError
 from .typecheck import TypeCheckError, check_term
 from .typesys import (Arrow, Base, Eff, FunctorDef, NatDef, Prod, Registry,
-                      Ty, TypeSysError, deep_effect_count)
+                      Ty, TypeSysError, UnknownEffectError, deep_effect_count)
 from .values import values_equal
 
 
@@ -210,42 +210,67 @@ def _bool(x, line) -> bool:
     raise LanguageParseError(f"expected true/false, found {sexpr.unparse(x)}", line)
 
 
-# -- language loading ------------------------------------------------------
+# -- file loading -----------------------------------------------------------
 
-def load_language_text(text: str, spot_model: Model | None = None) -> Lexicon:
+def load_forms(text: str, handlers: dict, *, unknown: str) -> None:
+    """Parse ``text`` and call ``handlers[head](form, line)`` on each
+    top-level form in order.
+
+    Every file format reads through here, so each error is classified
+    once: a form that is not a non-empty list, a head with no handler
+    (reported as ``unknown.format(head)``) and a form too short for its
+    handler (an ``IndexError``) raise :class:`LanguageParseError`; a
+    handler's :class:`TypeSysError` or :class:`ModelError` is raised again
+    as :class:`LanguageSemanticError`.  Every message names the form's line.
+    """
     try:
         forms = sexpr.parse(text)
     except sexpr.SexprError as exc:
-        raise LanguageParseError(str(exc), exc.line) from exc
-    reg = Registry()
-    raw_words = []
+        raise LanguageParseError(str(exc)) from exc  # its text names the line
     for form in forms:
+        line = getattr(form, "line", 0)
         if not isinstance(form, sexpr.Node) or not form.items:
-            raise LanguageParseError("top-level forms must be lists",
-                                     getattr(form, "line", 0))
-        head, line = form.items[0], form.line
+            raise LanguageParseError("top-level forms must be lists", line)
+        head = form.items[0]
+        handler = handlers.get(head)
+        if handler is None:
+            raise LanguageParseError(unknown.format(head), line)
         try:
-            if head == "base-type":
-                reg.add_base_type(_symbol(form.items[1], line))
-            elif head == "functor":
-                reg.add_functor(_parse_functor(form, reg))
-            elif head == "adjunction":
-                reg.add_adjunction(_symbol(form.items[1], line),
-                                   _symbol(form.items[2], line))
-            elif head == "nat":
-                reg.add_nat(_parse_nat(form))
-            elif head == "word":
-                raw_words.append(form)
-            else:
-                raise LanguageParseError(f"unknown form {head}", line)
+            handler(form, line)
         except (TypeSysError, ModelError) as exc:
             raise LanguageSemanticError(f"line {line}: {exc}") from exc
         except IndexError:
             raise LanguageParseError(f"malformed {head} form", line) from None
 
-    entries = []
-    for form in raw_words:
-        entries.append(_parse_word(form, reg))
+
+def load_file(path, load_text, *args):
+    """``load_text(text, *args)`` on the UTF-8 text of the file at
+    ``path``.  A parse or semantic error is raised again, as the same
+    kind, with the path in front; text that is not UTF-8 is a parse
+    error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return load_text(fh.read(), *args)
+    except LanguageSemanticError as exc:
+        raise LanguageSemanticError(f"{path}: {exc}") from exc
+    except (LanguageParseError, UnicodeDecodeError) as exc:
+        raise LanguageParseError(f"{path}: {exc}") from exc
+
+
+# -- language loading ------------------------------------------------------
+
+def load_language_text(text: str, spot_model: Model | None = None) -> Lexicon:
+    reg = Registry()
+    words = []
+    load_forms(text, {
+        "base-type": lambda form, line: reg.add_base_type(_symbol(form.items[1], line)),
+        "functor": lambda form, line: reg.add_functor(_parse_functor(form, reg)),
+        "adjunction": lambda form, line: reg.add_adjunction(_symbol(form.items[1], line),
+                                                            _symbol(form.items[2], line)),
+        "nat": lambda form, line: reg.add_nat(_parse_nat(form)),
+        "word": lambda form, line: words.append(form),
+    }, unknown="unknown form {}")
+    entries = [_parse_word(form, reg) for form in words]
     lex = Lexicon(registry=reg, entries=entries,
                   max_effect_rank=max((deep_effect_count(e.ty) for e in entries),
                                       default=0))
@@ -254,8 +279,7 @@ def load_language_text(text: str, spot_model: Model | None = None) -> Lexicon:
 
 
 def load_language(path, spot_model: Model | None = None) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        return load_language_text(fh.read(), spot_model)
+    return load_file(path, load_language_text, spot_model)
 
 
 def _parse_functor(form, reg) -> FunctorDef:
@@ -283,10 +307,12 @@ def _parse_nat(form) -> NatDef:
     src = _symbols(kw[":from"], ":from", line)
     tgt = _symbols(kw[":to"], ":to", line)
     default = parse_term(kw[":default"], line) if ":default" in kw else None
+    impl = _symbol(kw[":impl"], line)
+    if impl not in BUILTIN_NATS:
+        raise UnknownEffectError(f"nat {name}: no builtin named {impl}")
     return NatDef(name=name, source=src, target=tgt,
                   is_handler=_bool(kw[":handler"], line),
-                  component=_symbol(kw[":impl"], line),
-                  default=default)
+                  component=impl, default=default)
 
 
 def _parse_word(form, reg) -> LexEntry:
@@ -322,7 +348,7 @@ def _spot_check_handlers(reg: Registry, spot_model: Model | None) -> None:
             try:
                 out = run_handler(reg, nat, eta(reg, f, v), model)
                 ok = values_equal(out, v, model)
-            except Exception as exc:
+            except EVAL_ERRORS as exc:
                 raise LanguageSemanticError(
                     f"handler {nat.name} failed its unit law on {v}: {exc}") from exc
             if not ok:
@@ -367,51 +393,38 @@ def language_to_text(lex: Lexicon) -> str:
 # -- model loading ----------------------------------------------------------
 
 def load_model_text(text: str) -> Model:
-    try:
-        forms = sexpr.parse(text)
-    except sexpr.SexprError as exc:
-        raise LanguageParseError(str(exc), exc.line) from exc
     entities = []
     predicates = {}
-    assignment = ()
-    state = ()
-    for form in forms:
-        if not isinstance(form, sexpr.Node) or not form.items:
-            raise LanguageParseError("top-level forms must be lists")
-        head, line = form.items[0], form.line
-        try:
-            if head == "entity":
-                entities.append(_symbol(form.items[1], line))
-            elif head == "pred":
-                name = _symbol(form.items[1], line)
-                if not isinstance(form.items[2], int):
-                    raise LanguageParseError("pred needs a literal arity", line)
-                arity = form.items[2]
-                rows = set()
-                for row in form.items[3:]:
-                    if not isinstance(row, sexpr.Node):
-                        raise LanguageParseError("extension rows must be lists", line)
-                    rows.add(tuple(_symbol(e, line) for e in row.items))
-                key = (name, arity)
-                predicates[key] = frozenset(predicates.get(key, frozenset()) | rows)
-            elif head == "assignment":
-                assignment = tuple(_symbol(e, line) for e in form.items[1:])
-            elif head == "state":
-                state = tuple(_symbol(e, line) for e in form.items[1:])
-            else:
-                raise LanguageParseError(f"unknown model form {head}", line)
-        except IndexError:
-            raise LanguageParseError(f"malformed {head} form", line) from None
+    seqs = {"assignment": (), "state": ()}
+
+    def pred(form, line):
+        name = _symbol(form.items[1], line)
+        if not isinstance(form.items[2], int):
+            raise LanguageParseError("pred needs a literal arity", line)
+        rows = set()
+        for row in form.items[3:]:
+            if not isinstance(row, sexpr.Node):
+                raise LanguageParseError("extension rows must be lists", line)
+            rows.add(tuple(_symbol(e, line) for e in row.items))
+        key = (name, form.items[2])
+        predicates[key] = frozenset(predicates.get(key, frozenset()) | rows)
+
+    def seq(form, line):
+        seqs[form.items[0]] = tuple(_symbol(e, line) for e in form.items[1:])
+
+    load_forms(text, {
+        "entity": lambda form, line: entities.append(_symbol(form.items[1], line)),
+        "pred": pred, "assignment": seq, "state": seq,
+    }, unknown="unknown model form {}")
     try:
         return Model(entities=tuple(entities), predicates=predicates,
-                     initial_assignment=assignment, initial_state=state)
+                     initial_assignment=seqs["assignment"], initial_state=seqs["state"])
     except ModelError as exc:
         raise LanguageSemanticError(str(exc)) from exc
 
 
 def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        return load_model_text(fh.read())
+    return load_file(path, load_model_text)
 
 
 def model_to_text(model: Model) -> str:

@@ -2,24 +2,23 @@
 
 from __future__ import annotations
 
-from .combine import (Branch, Derivation, Failure, Leaf, branch_value, outcome,
-                      render_modes, value_of)
-from .lambda_eval import EvalError, eval_term
-from .model import ModelError
+from .combine import Branch, Derivation, Leaf, branch_value, outcome, render_modes
+from .lambda_eval import EVAL_ERRORS, eval_term
 from .values import render as render_value
 
 
 def _value_texts(reg, d: Derivation, model) -> dict:
     """``id(node)`` to each node's evaluated value as text, or to
-    ``<error: ...>`` when its evaluation fails with an :class:`EvalError`
-    or :class:`ModelError`; empty without a model.  Other errors propagate.
+    ``<error: ...>`` when its evaluation fails with one of
+    :data:`~effparse.lambda_eval.EVAL_ERRORS`; empty without a model.
+    Other errors propagate.
 
     One bottom-up pass evaluates each node once.  A branch takes its
     children's outcomes through :func:`branch_value`, so it fails with the
     error evaluating it alone would raise."""
     if model is None:
         return {}
-    outcomes = {}  # id(node) -> value or Failure, in evaluation order
+    outcomes = {}  # id(node) -> value or evaluation error, in evaluation order
 
     def evaluate(node):
         if isinstance(node, Leaf):
@@ -35,11 +34,10 @@ def _value_texts(reg, d: Derivation, model) -> dict:
 
 def value_text(result) -> str:
     """An :func:`~effparse.combine.outcome` as text: the value, or
-    ``<error: ...>`` for an :class:`EvalError` or :class:`ModelError`;
-    other errors are raised."""
-    if isinstance(result, Failure) and isinstance(result.error, (EvalError, ModelError)):
-        return f"<error: {result.error}>"
-    return render_value(value_of(result))
+    ``<error: ...>`` for a kept evaluation error."""
+    if isinstance(result, EVAL_ERRORS):
+        return f"<error: {result}>"
+    return render_value(result)
 
 
 def derivation_to_text(reg, d: Derivation, model=None, indent: str = "") -> str:

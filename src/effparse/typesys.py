@@ -15,7 +15,7 @@ only; there is no congruence under arrows or products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 EffectId = str
 
@@ -132,7 +132,6 @@ class FunctorDef:
     id: EffectId
     capabilities: frozenset = field(default_factory=frozenset)
     commutative: bool = False
-    adjoint_right: EffectId | None = None
     applies_to: tuple | None = None
 
     def __post_init__(self):
@@ -209,8 +208,6 @@ class Registry:
         if pair in self._adjunctions:
             raise RegistryError(f"adjunction ({left} -| {right}) declared twice")
         self._adjunctions.append(pair)
-        # recorded symmetrically on both functor definitions
-        self._functors[left] = replace(self._functors[left], adjoint_right=right)
 
     def add_nat(self, ndef: NatDef) -> None:
         if ndef.name in self._nats:

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .model import Model, ModelError
-from .typesys import TypeSysError
+from .model import Model
 
 
 class ValueError_(Exception):
@@ -324,10 +323,10 @@ def values_equal(a, b, model: Model, depth: int = 0) -> bool:
 
 def _probed(f, x):
     """Apply a probe; collapse an evaluation error to a comparable token."""
-    from .lambda_eval import EvalError
+    from .lambda_eval import EVAL_ERRORS
     try:
         return f(x)
-    except (EvalError, ModelError, TypeSysError, ValueError_) as exc:
+    except EVAL_ERRORS as exc:
         # probes may be ill-typed on purpose
         return f"!{type(exc).__name__}"
 

@@ -82,14 +82,20 @@ def test_language_semantic_error_exit_3(capsys, tmp_path):
     ("--model", "(pred p)", "malformed pred form"),
     ("--syntax", "(rule S)", "rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)"),
     ("--syntax", "(foo S NP VP)", "syntax files contain only (rule ...) forms"),
-], ids=["nat", "entity", "pred", "short rule", "not a rule"])
+    ("--language", "(", "unbalanced ("),
+    ("--model", "(", "unbalanced ("),
+    ("--syntax", "(", "unbalanced ("),
+    ("--model", "()", "top-level forms must be lists"),
+], ids=["nat", "entity", "pred", "short rule", "not a rule", "unbalanced language",
+        "unbalanced model", "unbalanced syntax", "empty model form"])
 def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, message):
     bad = tmp_path / "bad"
     bad.write_text("\n" + form + "\n")
     files = {"--language": LANG, "--model": MODEL, flag: str(bad)}
     code, out, err = run(capsys, "check", *(x for kv in files.items() for x in kv))
     assert code == 2
-    assert f"line 2: {message}" in err
+    assert f"error: {bad}: line 2: {message}" in err
+    assert err.count("line 2:") == 1
     assert "Traceback" not in out + err
 
 
@@ -100,7 +106,7 @@ def test_a_file_that_is_not_utf8_is_a_parse_error_exit_2(capsys, tmp_path, flag)
     files = {"--language": LANG, "--model": MODEL, "--syntax": CFG, flag: str(bad)}
     code, out, err = run(capsys, "check", *(x for kv in files.items() for x in kv))
     assert code == 2
-    assert "can't decode byte 0xff" in err
+    assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
     assert "Traceback" not in out + err
 
 
@@ -124,6 +130,20 @@ def test_missing_model_predicate_is_a_per_derivation_error(capsys, tmp_path, com
     assert code == 0
     assert "derivation 0: M t" in out
     assert "<error: predicate sleep" in out
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", [("eval",), ("parse", "--eval"),
+                                     ("parse", "--eval", "--render", "dot")])
+def test_an_effect_with_no_runtime_carrier_is_a_per_derivation_error(capsys, tmp_path,
+                                                                     command):
+    lang = tmp_path / "x.lang"
+    lang.write_text("(base-type e) (base-type t)\n"
+                    "(functor X :caps (functor applicative monad))\n"
+                    '(word "foo" :type (X e) :term (eta X (const j)))\n')
+    code, out, err = run(capsys, *command, "--language", str(lang), "--model", MODEL, "foo")
+    assert code == 0
+    assert "<error: functor X has no runtime carrier>" in out
     assert "Traceback" not in out + err
 
 

@@ -543,19 +543,24 @@ def test_a_failing_shared_node_fails_every_derivation_that_uses_it(
     assert {b._uses for b in branches} == {0}
 
 
-def test_a_kept_failure_is_raised_with_the_traceback_it_was_caught_with():
+def test_a_kept_error_is_raised_afresh_and_any_other_error_propagates():
     def fail():
         raise EvalError("boom")
     kept = outcome(fail)
+    assert isinstance(kept, EvalError) and kept.__traceback__ is None
     frames = []
     for _ in range(3):
         with pytest.raises(EvalError, match="boom") as info:
             value_of(kept)
         frames.append([f.name for f in traceback.extract_tb(info.value.__traceback__)])
-    # raising it again does not grow its traceback, which still ends where
-    # the error was raised
+    # raising it again does not grow its traceback
     assert frames[0] == frames[1] == frames[2]
-    assert frames[0][-1] == "fail"
+
+    def bug():
+        raise RuntimeError("not an evaluation error")
+    with pytest.raises(RuntimeError) as info:
+        outcome(bug)
+    assert traceback.extract_tb(info.value.__traceback__)[-1].name == "bug"
 
 
 def test_every_mode_kind_roundtrips():

@@ -150,6 +150,14 @@ def test_model_allows_empty_extension():
     assert m.predicates[("cat", 1)] == frozenset()
 
 
+def test_a_nat_with_no_builtin_is_rejected_on_its_line():
+    bad = MINI + "(nat n :from (S) :to (M) :handler false :impl nosuch)\n"
+    line = bad.count("\n")
+    with pytest.raises(LanguageSemanticError,
+                       match=f"^line {line}: nat n: no builtin named nosuch$"):
+        load_language_text(bad)
+
+
 def test_handler_law_violation_rejected():
     bad = MINI + "(nat broken :from (M) :to () :handler true :impl choose-min)\n"
     with pytest.raises(LanguageSemanticError):
