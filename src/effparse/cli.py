@@ -2,9 +2,11 @@
 
     effparse <command> --language <path> --model <path> [--syntax <path>]
              [--all-parses] [--max-derivations N] [--render text|dot]
-             [--normalize] [--eval] [--index I] [--indices I J] [sentence...]
+             [--eval] [--index I] [--indices I J] [--no-prune] [sentence...]
 
-Commands: parse, eval, diagram, normalize, equal, check.
+Commands: parse, eval, diagram, normalize, equal, check.  ``diagram``
+prints the effect diagram of derivation ``--index`` and ``normalize`` its
+equational normal form.
 
 Exit codes: 0 ok / at least one parse; 1 no parse; 2 a file that cannot
 be read, is not UTF-8 or does not parse, or a bad command-line argument
@@ -68,8 +70,6 @@ def _argparser() -> argparse.ArgumentParser:
                    help="show every retained derivation, not just the first")
     p.add_argument("--max-derivations", type=int, default=64)
     p.add_argument("--render", choices=["text", "dot"], default="text")
-    p.add_argument("--normalize", action="store_true",
-                   help="emit the equational normal form of the diagram")
     p.add_argument("--eval", dest="evaluate", action="store_true",
                    help="annotate each node with its evaluated value")
     p.add_argument("--index", type=int, default=0,
@@ -153,7 +153,7 @@ def _run(args) -> int:
         raise _BadIndex(f"derivation index {args.index} out of range "
                         f"(found {len(derivs)})")
     dg = from_derivation(reg, derivs[args.index])
-    if args.command == "normalize" or args.normalize:
+    if args.command == "normalize":
         dg = eq_normalize(dg)
     print(diagram_to_dot(dg) if args.render == "dot" else diagram_to_sexpr(dg))
     return EXIT_OK

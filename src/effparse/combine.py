@@ -11,7 +11,8 @@ adjacent adjoint pair).  Sequences are stored outermost-first.
 denotation and its diagram cell; enumeration, replay, denotation and
 diagram construction all read it.
 
-Parsing is CKY over a packed chart keyed by (category, type); an optional
+Parsing is CKY over a packed chart keyed by (category, type), seeded with
+each lexical entry over every span its tokens match; an optional
 syntactic CFG is intersected with the type grammar by the product
 construction.  Unpacking a packed forest is capped and deterministic.
 """
@@ -482,14 +483,6 @@ def prune(seq, reg: Registry) -> bool:
     return not any(_banned_prefix(seq[i], seq[i + 1:], reg) for i in range(len(seq)))
 
 
-# -- denotations -------------------------------------------------------------
-
-def mode_denotation(reg: Registry, m: Mode):
-    """The figure term for a base mode, or a term transformer for a
-    wrapper/postfix mode."""
-    return MODE_RULES[m.kind].denote(m)
-
-
 # -- derivations -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -592,12 +585,15 @@ def _node_value(d: Derivation, model, reg: Registry):
 
 def outcome(f, *args):
     """``f(*args)``, or the error it raised if that is one of
-    :data:`~effparse.lambda_eval.EVAL_ERRORS`, kept without its traceback,
-    so a kept error holds no frames of the evaluation that raised it.  Any
-    other exception propagates at once."""
+    :data:`~effparse.lambda_eval.EVAL_ERRORS`, kept without its traceback
+    and without the exception it was raised while handling (its
+    ``__context__``, never printed, since every evaluation error is raised
+    ``from None``), so a kept error holds no frames of the evaluation that
+    raised it.  Any other exception propagates at once."""
     try:
         return f(*args)
     except EVAL_ERRORS as exc:
+        exc.__context__ = None
         return exc.with_traceback(None)
 
 
@@ -681,13 +677,14 @@ def mode_count(d: Derivation) -> int:
 
 @dataclass(frozen=True)
 class SyntaxCFG:
-    binary: dict  # (cat, cat) -> frozenset of LHS
-    unary: dict   # terminal category -> frozenset of categories (closure, incl. self)
+    """A syntactic CFG.  Each category set is a tuple in the order the
+    parser visits it, sorted by the categories' text."""
 
-    def leaf_categories(self, cat):
-        if cat is None:
-            return frozenset([None])
-        return self.unary.get(cat, frozenset([cat]))
+    binary: dict  # (cat, cat) -> tuple of LHS
+    unary: dict   # terminal category -> tuple of categories (closure, incl. self)
+
+    def leaf_categories(self, cat) -> tuple:
+        return self.unary.get(cat, (cat,))
 
 
 def load_syntax_text(text: str) -> SyntaxCFG:
@@ -716,8 +713,9 @@ def load_syntax_text(text: str) -> SyntaxCFG:
                 if lhs not in seen:
                     seen.add(lhs)
                     frontier.append(lhs)
-        unary[cat] = frozenset(seen)
-    return SyntaxCFG(binary={k: frozenset(v) for k, v in binary.items()}, unary=unary)
+        unary[cat] = tuple(sorted(seen, key=str))
+    return SyntaxCFG(binary={k: tuple(sorted(v, key=str)) for k, v in binary.items()},
+                     unary=unary)
 
 
 def load_syntax(path) -> SyntaxCFG:
@@ -728,10 +726,11 @@ def load_syntax(path) -> SyntaxCFG:
 
 @dataclass
 class _Item:
-    """A chart item.  Each of its ``sources`` is a ``_LeafSrc`` or a packed
-    back-pointer ``(seqs, left, right)``: every mode sequence in ``seqs``
-    combines the two child items into this item's type.  Back-pointers are
-    plain tuples because a long sentence makes thousands of them."""
+    """A chart item.  Each of its ``sources`` is a :class:`LexEntry` seeded
+    over the item's span or a packed back-pointer ``(seqs, left, right)``:
+    every mode sequence in ``seqs`` combines the two child items into this
+    item's type.  Back-pointers are plain tuples because a long sentence
+    makes thousands of them."""
 
     span: tuple
     cat: object
@@ -744,24 +743,13 @@ class _Item:
         return (self.span, "" if self.cat is None else str(self.cat), str(self.ty))
 
 
-@dataclass(frozen=True)
-class _LeafSrc:
-    entry: LexEntry
-
-
 @dataclass
 class Forest:
     n: int
     chart: dict
 
-    def cell_count(self) -> int:
-        return self.n * (self.n + 1) // 2
-
-    def items(self, i, j):
-        return list(self.chart.get((i, j), {}).values())
-
     def root_items(self):
-        return self.items(0, self.n)
+        return list(self.chart.get((0, self.n), {}).values())
 
     def packed_node_count(self) -> int:
         return sum(len(item.sources)
@@ -797,12 +785,12 @@ def _unpack(item: _Item, limit: int, memo: dict, texts: dict | None = None):
         texts = {}
     memo[key] = []  # cycle guard; charts are acyclic but be safe
     out = []
-    leaf_srcs = sorted((s for s in item.sources if isinstance(s, _LeafSrc)),
-                       key=lambda s: s.entry.surface)
-    bin_srcs = sorted((s for s in item.sources if not isinstance(s, _LeafSrc)),
+    entries = sorted((s for s in item.sources if isinstance(s, LexEntry)),
+                     key=lambda e: e.surface)
+    bin_srcs = sorted((s for s in item.sources if not isinstance(s, LexEntry)),
                       key=lambda s: (_text(texts, s[0][0], render_modes), s[1].key, s[2].key))
-    for src in leaf_srcs:
-        out.append(Leaf(src.entry))
+    for entry in entries:
+        out.append(Leaf(entry))
         if len(out) >= limit:
             break
     for seqs, left, right in bin_srcs:
@@ -828,7 +816,7 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
         raise ValueError(f"seq_cap must be at least 1, got {seq_cap}")
     reg = lex.registry
     n = len(tokens)
-    folded = [t.casefold() for t in tokens]
+    folded = tuple(t.casefold() for t in tokens)
     chart: dict = {(i, j): {} for j in range(1, n + 1) for i in range(j)}
 
     def add_item(i, j, cat, ty, source):
@@ -839,34 +827,19 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
             cell[(cat, ty)] = it
         it.sources.append(source)
 
+    # each entry is seeded over every span its tokens match, so each leaf
+    # cell receives its entries in lexicon order
     covered = [False] * n
-    for i, tok in enumerate(folded):
-        for e in lex.lookup(tok):
-            cats = syntax.leaf_categories(e.category) if syntax else [e.category]
-            for cat in sorted(cats, key=lambda c: "" if c is None else str(c)):
-                add_item(i, i + 1, cat, e.ty, _LeafSrc(e))
-            covered[i] = True
-    for e in lex.multi_token_entries():
+    for e in lex.entries:
         k = len(e.tokens)
         for i in range(n - k + 1):
-            if tuple(folded[i:i + k]) == e.tokens:
-                cats = syntax.leaf_categories(e.category) if syntax else [e.category]
-                for cat in sorted(cats, key=lambda c: "" if c is None else str(c)):
-                    add_item(i, i + k, cat, e.ty, _LeafSrc(e))
-                for p in range(i, i + k):
-                    covered[p] = True
-    for p, ok in enumerate(covered):
-        if not ok:
-            raise UnknownTokenError(tokens[p], p)
-
-    sorted_targets: dict = {}
-
-    def targets_for(lcat, rcat):
-        hit = sorted_targets.get((lcat, rcat))
-        if hit is None:
-            raw = (None,) if syntax is None else syntax.binary.get((lcat, rcat), ())
-            hit = sorted_targets[(lcat, rcat)] = tuple(sorted(raw, key=str))
-        return hit
+            if folded[i:i + k] == e.tokens:
+                for cat in syntax.leaf_categories(e.category) if syntax else (e.category,):
+                    add_item(i, i + k, cat, e.ty, e)
+                covered[i:i + k] = [True] * k
+    if not all(covered):
+        p = covered.index(False)
+        raise UnknownTokenError(tokens[p], p)
 
     # one object per result type: equal types are then identical, and chart
     # lookups never compare deep types structurally
@@ -880,7 +853,8 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
                 right_items = chart[(k, j)].items()
                 for (lcat, lty), litem in chart[(i, k)].items():
                     for (rcat, rty), ritem in right_items:
-                        targets = targets_for(lcat, rcat)
+                        targets = ((None,) if syntax is None
+                                   else syntax.binary.get((lcat, rcat), ()))
                         if not targets:
                             continue
                         pair = (id(lty), id(rty))

@@ -8,9 +8,10 @@ is strict: every word's term must check against its declared type, every
 adjunction partner must exist, and every handler passes a spot check of
 ``h . eta = id`` on generated values.
 
-Token lookup is case-insensitive (Unicode casefold).  Surfaces containing
-spaces are multi-token entries: they never answer single-token lookup and
-are seeded into the chart over their full span by the parser.
+Each entry's surface is folded (Unicode casefold) and split into its
+``tokens``; the parser seeds the entry into the chart over every span of
+folded input tokens equal to them, so a surface containing spaces is a
+multi-token entry, seeded only over its full span.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from . import sexpr
 from . import terms as T
 from .lambda_eval import BUILTIN_NATS, EVAL_ERRORS, SPOT_PAYLOADS, eta, run_handler
-from .model import Model, ModelError
+from .model import Model, ModelError, check_arity, check_new_entity
 from .typecheck import TypeCheckError, check_term
 from .typesys import (Arrow, Base, Eff, FunctorDef, NatDef, Prod, Registry,
                       Ty, TypeSysError, UnknownEffectError, deep_effect_count)
@@ -51,13 +52,6 @@ class Lexicon:
     registry: Registry
     entries: list = field(default_factory=list)
     max_effect_rank: int = 0
-
-    def lookup(self, token: str) -> list:
-        folded = token.casefold()
-        return [e for e in self.entries if e.tokens == (folded,)]
-
-    def multi_token_entries(self) -> list:
-        return [e for e in self.entries if len(e.tokens) > 1]
 
 
 # -- type and term expression parsing --------------------------------------
@@ -259,7 +253,7 @@ def load_file(path, load_text, *args):
 
 # -- language loading ------------------------------------------------------
 
-def load_language_text(text: str, spot_model: Model | None = None) -> Lexicon:
+def load_language_text(text: str) -> Lexicon:
     reg = Registry()
     words = []
     load_forms(text, {
@@ -274,12 +268,12 @@ def load_language_text(text: str, spot_model: Model | None = None) -> Lexicon:
     lex = Lexicon(registry=reg, entries=entries,
                   max_effect_rank=max((deep_effect_count(e.ty) for e in entries),
                                       default=0))
-    _spot_check_handlers(reg, spot_model)
+    _spot_check_handlers(reg)
     return lex
 
 
-def load_language(path, spot_model: Model | None = None) -> Lexicon:
-    return load_file(path, load_language_text, spot_model)
+def load_language(path) -> Lexicon:
+    return load_file(path, load_language_text)
 
 
 def _parse_functor(form, reg) -> FunctorDef:
@@ -335,8 +329,8 @@ def _parse_word(form, reg) -> LexEntry:
     return LexEntry(surface=surface, tokens=tokens, ty=ty, term=checked, category=cat)
 
 
-def _spot_check_handlers(reg: Registry, spot_model: Model | None) -> None:
-    model = spot_model or Model(entities=("_spot0", "_spot1"))
+def _spot_check_handlers(reg: Registry) -> None:
+    model = Model(entities=("_spot0", "_spot1"))
     for nat in reg.nats():
         if not nat.is_handler or len(nat.source) != 1:
             continue
@@ -393,28 +387,36 @@ def language_to_text(lex: Lexicon) -> str:
 # -- model loading ----------------------------------------------------------
 
 def load_model_text(text: str) -> Model:
+    """The model in ``text``.  A repeated entity and a row of the wrong
+    length are rejected at their form, naming its line; an undeclared
+    entity is found by :class:`Model` once every form is read."""
     entities = []
     predicates = {}
     seqs = {"assignment": (), "state": ()}
 
-    def pred(form, line):
+    def entity(form, line):
         name = _symbol(form.items[1], line)
-        if not isinstance(form.items[2], int):
+        check_new_entity(name, entities)
+        entities.append(name)
+
+    def pred(form, line):
+        name, arity = _symbol(form.items[1], line), form.items[2]
+        if not isinstance(arity, int):
             raise LanguageParseError("pred needs a literal arity", line)
         rows = set()
-        for row in form.items[3:]:
-            if not isinstance(row, sexpr.Node):
+        for node in form.items[3:]:
+            if not isinstance(node, sexpr.Node):
                 raise LanguageParseError("extension rows must be lists", line)
-            rows.add(tuple(_symbol(e, line) for e in row.items))
-        key = (name, form.items[2])
-        predicates[key] = frozenset(predicates.get(key, frozenset()) | rows)
+            row = tuple(_symbol(e, line) for e in node.items)
+            check_arity(name, arity, row)
+            rows.add(row)
+        predicates[name, arity] = predicates.get((name, arity), frozenset()) | rows
 
     def seq(form, line):
         seqs[form.items[0]] = tuple(_symbol(e, line) for e in form.items[1:])
 
     load_forms(text, {
-        "entity": lambda form, line: entities.append(_symbol(form.items[1], line)),
-        "pred": pred, "assignment": seq, "state": seq,
+        "entity": entity, "pred": pred, "assignment": seq, "state": seq,
     }, unknown="unknown model form {}")
     try:
         return Model(entities=tuple(entities), predicates=predicates,

@@ -23,13 +23,13 @@ class Model:
     initial_state: tuple = ()
 
     def __post_init__(self):
-        declared = set(self.entities)
-        if len(declared) != len(self.entities):
-            raise ModelError("duplicate entity declaration")
+        declared = set()
+        for e in self.entities:
+            check_new_entity(e, declared)
+            declared.add(e)
         for (name, arity), ext in self.predicates.items():
             for row in ext:
-                if len(row) != arity:
-                    raise ModelError(f"predicate {name}: tuple {row} does not match arity {arity}")
+                check_arity(name, arity, row)
                 for e in row:
                     if e not in declared:
                         raise ModelError(f"predicate {name}: undeclared entity {e}")
@@ -52,3 +52,17 @@ class Model:
                     raise ModelError(
                         f"predicate {name} used with arity {arity} but declared with {a}") from None
             raise ModelError(f"predicate {name} is not declared in the model") from None
+
+
+def check_new_entity(name: str, declared) -> None:
+    """Raises :class:`ModelError` if ``name`` is among the entities
+    ``declared`` so far."""
+    if name in declared:
+        raise ModelError(f"duplicate entity {name}")
+
+
+def check_arity(name: str, arity: int, row: tuple) -> None:
+    """Raises :class:`ModelError` unless the extension row ``row`` of
+    predicate ``name`` has ``arity`` entities."""
+    if len(row) != arity:
+        raise ModelError(f"predicate {name}: tuple {row} does not match arity {arity}")

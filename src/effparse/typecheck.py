@@ -31,10 +31,10 @@ def _carrier_expansion(reg: Registry, ty: Eff):
         return None
 
 
-def check_term(reg: Registry, term: T.Term, ty: Ty, env: dict | None = None) -> T.Term:
-    """Check ``term`` against ``ty``; returns the coercion-annotated term."""
+def check_term(reg: Registry, term: T.Term, ty: Ty) -> T.Term:
+    """Check closed ``term`` against ``ty``; returns the coercion-annotated term."""
     reg.well_formed(ty)
-    return _check(reg, term, ty, env or {})
+    return _check(reg, term, ty, {})
 
 
 def _fail(msg: str):

@@ -297,7 +297,7 @@ class Registry:
     def is_pure(self, ty: Ty) -> bool:
         """True iff ``ty`` contains no effect constructor anywhere."""
         self.well_formed(ty)
-        return _deep_effect_count(ty) == 0
+        return deep_effect_count(ty) == 0
 
     def effect_stack(self, ty: Ty):
         """Peel the outermost effect applications.
@@ -346,21 +346,17 @@ class Registry:
         return True
 
 
-def _deep_effect_count(ty: Ty) -> int:
+def deep_effect_count(ty: Ty) -> int:
+    """Number of effect constructors anywhere in the type."""
     if isinstance(ty, Base):
         return 0
     if isinstance(ty, Arrow):
-        return _deep_effect_count(ty.dom) + _deep_effect_count(ty.cod)
+        return deep_effect_count(ty.dom) + deep_effect_count(ty.cod)
     if isinstance(ty, Prod):
-        return _deep_effect_count(ty.left) + _deep_effect_count(ty.right)
+        return deep_effect_count(ty.left) + deep_effect_count(ty.right)
     if isinstance(ty, Eff):
-        return 1 + _deep_effect_count(ty.inner)
+        return 1 + deep_effect_count(ty.inner)
     raise MalformedTypeError(f"not a type: {ty!r}")
-
-
-def deep_effect_count(ty: Ty) -> int:
-    """Number of effect constructors anywhere in the type."""
-    return _deep_effect_count(ty)
 
 
 def positive_effects(ty: Ty) -> tuple:

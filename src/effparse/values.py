@@ -36,9 +36,12 @@ class _Absent:
 ABSENT = _Absent()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Value:
-    pass
+    """A runtime value.  Plain data compares structurally: its dataclasses
+    keep ``eq`` and ``SetV`` compares its canonical elements.  The
+    function-like carriers are declared ``eq=False`` too, so they compare
+    by identity; :func:`values_equal` compares them extensionally."""
 
 
 @dataclass(frozen=True)
@@ -122,22 +125,10 @@ class Fn(Value):
     run: object  # Value -> Value
     label: str = "fn"
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
 
 @dataclass(frozen=True, eq=False)
 class ReaderV(Value):
     run: object  # SeqV -> Value
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,12 +151,6 @@ class StateV(Value):
     def __init__(self, run):
         object.__setattr__(self, "run", _memoised(run))
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
 
 def _memoised(fn):
     """``fn`` with a memo from argument to result; errors are not stored."""
@@ -182,12 +167,6 @@ def _memoised(fn):
 @dataclass(frozen=True, eq=False)
 class ContV(Value):
     run: object  # (Value -> B) -> B
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
 
 def structural_key(v):

@@ -12,6 +12,12 @@ DATA = ROOT / "data"
 TDATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
+def entry(lex, surface):
+    """The lexicon's one entry with ``surface``."""
+    [e] = [e for e in lex.entries if e.surface == surface]
+    return e
+
+
 @pytest.fixture(scope="session")
 def english():
     return load_language(DATA / "english.lang")

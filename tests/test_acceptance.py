@@ -333,7 +333,8 @@ def test_criterion_7_parsing_scale(english, syntax):
                 samples.append((time.perf_counter() - t0) / runs)
             times.append(min(samples))
             sizes.append(n)
-            assert forest.cell_count() == n * (n + 1) // 2
+            assert set(forest.chart) == {(i, j) for j in range(1, n + 1)
+                                         for i in range(j)}
             derivs = forest.derivations(limit=64)
             assert derivs
             lemma_bound = (2 + c) * m * (n + 1) * (n - 1) + (n - 1)

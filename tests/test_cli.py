@@ -99,6 +99,23 @@ def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, me
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("forms, message", [
+    ("(entity c1)\n(entity c1)", "line 2: duplicate entity c1"),
+    ("(entity c1)\n(pred cat 1 (c1) (c1 c1))",
+     "line 2: predicate cat: tuple ('c1', 'c1') does not match arity 1"),
+    ("(entity c1)\n(pred cat 1 (c2))", "predicate cat: undeclared entity c2"),
+    ("(entity c1)\n(assignment c2)", "undeclared entity c2 in assignment/state"),
+], ids=["duplicate entity", "wrong arity", "undeclared in pred", "undeclared in assignment"])
+def test_an_inconsistent_model_is_a_semantic_error_exit_3(capsys, tmp_path, forms,
+                                                          message):
+    bad = tmp_path / "bad.model"
+    bad.write_text(forms + "\n")
+    code, out, err = run(capsys, "check", "--language", LANG, "--model", str(bad))
+    assert code == 3
+    assert err == f"error: {bad}: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag", ["--language", "--model", "--syntax"])
 def test_a_file_that_is_not_utf8_is_a_parse_error_exit_2(capsys, tmp_path, flag):
     bad = tmp_path / "bad"

@@ -11,7 +11,7 @@ from effparse import terms as T
 from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               UnknownTokenError, _unpack, branch_value,
                               derivation_term, enumerate_modes, mode_count,
-                              mode_denotation, outcome, parse, parse_forest,
+                              outcome, parse, parse_forest,
                               parse_mode, parse_modes, prune, render_modes,
                               replay_modes, value_of)
 from effparse.lambda_eval import EvalError, eval_term, join
@@ -20,7 +20,7 @@ from effparse.model import ModelError
 from effparse.typesys import Arrow, Base, Eff
 from effparse.values import SetV, E, render as render_value, values_equal
 
-from .conftest import DATA
+from .conftest import DATA, entry
 from .test_cli_matrix import SENTENCES
 
 e, t = Base("e"), Base("t")
@@ -127,8 +127,14 @@ def test_pruned_enumeration_equals_post_filtering(syntax):
 
 # -- mode denotations ----------------------------------------------------------
 
+def denote(m):
+    """A base mode's figure term, or a wrapper/postfix mode's term
+    transformer."""
+    return MODE_RULES[m.kind].denote(m)
+
+
 def test_forward_application_term(registry):
-    term = mode_denotation(registry, Mode("fwd"))
+    term = denote(Mode("fwd"))
     assert isinstance(term, T.Lam)
     body = term.body
     assert isinstance(body, T.Lam)
@@ -136,8 +142,8 @@ def test_forward_application_term(registry):
 
 
 def test_dn_denotation_wraps_lower(registry):
-    tr = mode_denotation(registry, Mode("dn"))
-    inner = mode_denotation(registry, Mode("fwd"))
+    tr = denote(Mode("dn"))
+    inner = denote(Mode("fwd"))
     wrapped = tr(inner)
     assert isinstance(wrapped, T.Lam)
     assert isinstance(wrapped.body.body, T.Lower)
@@ -146,8 +152,8 @@ def test_dn_denotation_wraps_lower(registry):
 def test_join_mode_matches_explicit_join(registry, law_model):
     # J over forward application equals evaluating the application first
     # and joining the nested set by hand
-    tr = mode_denotation(registry, Mode("j", functor="S"))
-    term = tr(mode_denotation(registry, Mode("fwd")))
+    tr = denote(Mode("j", functor="S"))
+    term = tr(denote(Mode("fwd")))
     phi = T.Lam("v", T.Eta("S", T.Eta("S", T.Var("v"))))  # e -> S (S e)
     got = eval_term(T.App(T.App(term, phi), T.Const("a")), {}, law_model, registry)
     nested = eval_term(T.App(phi, T.Const("a")), {}, law_model, registry)
@@ -298,13 +304,13 @@ def test_derivation_order_is_the_key_order(english, syntax, with_syntax, ks):
 def test_chart_cell_count_closed_form(english):
     forest = parse_forest("a cat in a box".split(), english)
     n = 5
-    assert forest.cell_count() == n * (n + 1) // 2
+    assert set(forest.chart) == {(i, j) for j in range(1, n + 1) for i in range(j)}
 
 
 # -- derivation terms ------------------------------------------------------------
 
 def test_leaf_term_unchanged(english):
-    [cat] = english.lookup("cat")
+    cat = entry(english, "cat")
     assert derivation_term(english.registry, Leaf(cat)) == cat.term
 
 
@@ -392,9 +398,9 @@ def folded_term(reg, d):
     wrappers' transformers, one fresh transformer term per node."""
     if isinstance(d, Leaf):
         return d.entry.term
-    term = mode_denotation(reg, d.modes[-1])
+    term = denote(d.modes[-1])
     for m in reversed(d.modes[:-1]):
-        term = mode_denotation(reg, m)(term)
+        term = denote(m)(term)
     return T.App(T.App(term, folded_term(reg, d.left)), folded_term(reg, d.right))
 
 
@@ -561,6 +567,29 @@ def test_a_kept_error_is_raised_afresh_and_any_other_error_propagates():
     with pytest.raises(RuntimeError) as info:
         outcome(bug)
     assert traceback.extract_tb(info.value.__traceback__)[-1].name == "bug"
+
+
+def test_a_kept_error_holds_no_earlier_exception(english, solar, monkeypatch):
+    # the model raises its errors ``from None`` inside an ``except``, so an
+    # error holds the exception it replaced, and that one its frames
+    from effparse import combine
+    reg, model = english.registry, _without(solar, "cat")
+    kept = []
+
+    def recorded(f, *args):
+        result = outcome(f, *args)
+        if isinstance(result, Exception):
+            kept.append(result)
+        return result
+    monkeypatch.setattr(combine, "outcome", recorded)
+    raised = []
+    for d in parse("the cat in the box eats a mouse".split(), english):
+        try:
+            eval_term(derivation_term(reg, d), {}, model, reg)
+        except ModelError as exc:
+            raised.append(exc)
+    assert kept and raised
+    assert [exc for exc in kept + raised if exc.__context__ is not None] == []
 
 
 def test_every_mode_kind_roundtrips():

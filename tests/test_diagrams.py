@@ -11,6 +11,8 @@ from effparse.diagrams import (Diagram, DiagramError, all_normal_forms,
                                right_normalize, validate, first_violation)
 from effparse.typesys import Base, Eff
 
+from .conftest import entry
+
 e, t = Base("e"), Base("t")
 
 
@@ -33,7 +35,7 @@ def test_tree_box_diagram(english):
 
 
 def test_pure_leaf_diagram_is_empty(english):
-    [cat] = english.lookup("cat")
+    cat = entry(english, "cat")
     from effparse.combine import Leaf
     dg = from_derivation(english.registry, Leaf(cat))
     assert dg == Diagram(inputs=(), nodes=())

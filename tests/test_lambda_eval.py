@@ -22,6 +22,7 @@ from effparse.values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV,
                              SeqV, SetV, StateV, structural_key, values_equal)
 
 from . import strategies as S
+from .conftest import entry
 
 FUNCTORS = ("G", "W", "S", "C", "D", "M")
 MONADS = ("G", "W", "S", "C", "D", "M")
@@ -47,9 +48,7 @@ def two_cat_model():
 
 
 def the_applied_to_cat(english):
-    [the] = english.lookup("the")
-    [cat] = english.lookup("cat")
-    return T.App(the.term, cat.term)
+    return T.App(entry(english, "the").term, entry(english, "cat").term)
 
 
 def test_eval_the_cat_unique(english, one_cat_model):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from effparse.combine import UnknownTokenError, parse_forest
 from effparse.lambda_eval import eta, run_handler
 from effparse import sexpr
 from effparse.lexicon import (LanguageParseError, LanguageSemanticError, Lexicon,
@@ -12,6 +13,7 @@ from effparse.typesys import Arrow, Base, Eff, deep_effect_count
 from effparse.values import B, E, values_equal
 
 from . import strategies as S
+from .conftest import entry
 
 MINI = """
 (base-type e) (base-type t) (base-type g) (base-type s)
@@ -26,26 +28,54 @@ MINI = """
 
 def test_load_appendix_lexicon_types(english):
     e, t = Base("e"), Base("t")
-    [the] = english.lookup("the")
-    assert the.ty == Arrow(Arrow(e, t), Eff("M", e))
-    [it] = english.lookup("it")
-    assert it.ty == Eff("G", e)
-    [a] = english.lookup("a")
-    assert a.ty == Arrow(Arrow(e, t), Eff("D", e))
+    assert entry(english, "the").ty == Arrow(Arrow(e, t), Eff("M", e))
+    assert entry(english, "it").ty == Eff("G", e)
+    assert entry(english, "a").ty == Arrow(Arrow(e, t), Eff("D", e))
 
 
-def test_lookup_unknown_token_is_empty(english):
-    assert english.lookup("xyzzy") == []
+# -- seeding: the parser puts each entry on the spans its tokens match ---------
+
+def _leaf_cells(forest):
+    """Each one-token cell's items, as (category, type, sources)."""
+    return [[(it.cat, it.ty, it.sources) for it in forest.chart[(i, i + 1)].values()]
+            for i in range(forest.n)]
 
 
-def test_lookup_is_case_insensitive(english):
-    assert english.lookup("Jupiter".casefold()) == english.lookup("jupiter")
-    assert [e.surface for e in english.lookup("THE".casefold())] == ["the"]
+def _seeded_spans(forest, e):
+    return {span for span, cell in forest.chart.items() for it in cell.values()
+            if any(src is e for src in it.sources)}
 
 
-def test_multi_token_entry_not_in_single_lookup(english):
-    assert all(e.surface != ", a" for e in english.lookup("a"))
-    assert [e.surface for e in english.multi_token_entries()] == [", a"]
+def test_capitalised_tokens_seed_the_same_items(english, syntax):
+    for grammar in (None, syntax):
+        lower = parse_forest("jupiter chases the cat".split(), english, syntax=grammar)
+        upper = parse_forest("JUPITER Chases THE Cat".split(), english, syntax=grammar)
+        assert _leaf_cells(upper) == _leaf_cells(lower)
+        assert all(_leaf_cells(lower))
+        assert _seeded_spans(upper, entry(english, "the")) == {(2, 3)}
+
+
+def test_a_multi_token_entry_seeds_only_its_full_span(english):
+    comma_a = entry(english, ", a")
+    forest = parse_forest("jupiter , a planet , a planet".split(), english)
+    assert _seeded_spans(forest, comma_a) == {(1, 3), (4, 6)}
+    assert _seeded_spans(forest, entry(english, "a")) == {(2, 3), (5, 6)}
+    # "," has no entry of its own, so its cells hold nothing
+    assert forest.chart[(1, 2)] == forest.chart[(4, 5)] == {}
+    assert _seeded_spans(parse_forest("a cat".split(), english), comma_a) == set()
+
+
+@pytest.mark.parametrize("sentence, token, position", [
+    ("the Xyzzy sleeps xyzzy", "Xyzzy", 1),
+    # a token only a multi-token entry holds is unknown on its own
+    ("jupiter , planet", ",", 1),
+    ("jupiter , a planet ,", ",", 4),
+], ids=["unknown word", "lone comma", "trailing comma"])
+def test_an_unknown_token_is_reported_at_its_first_position(english, sentence, token,
+                                                            position):
+    with pytest.raises(UnknownTokenError) as info:
+        parse_forest(sentence.split(), english)
+    assert (info.value.token, info.value.position) == (token, position)
 
 
 def test_type_check_failure_names_entry():
