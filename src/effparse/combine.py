@@ -8,24 +8,29 @@ pointwise conjunction/disjunction), possibly under postfix shrinking
 modes (J joins a doubled effect, DN lowers a continuation, C cancels an
 adjacent adjoint pair).  Sequences are stored outermost-first.
 :data:`MODE_RULES` defines each mode kind once: its typing rule, its
-denotation and its diagram cell; enumeration, replay, denotation and
-diagram construction all read it.
+denotation as a combinator over values and its diagram cell; enumeration,
+replay, evaluation and diagram construction all read it.  A branch's value
+is its modes' combinators composed and applied to its children's values;
+no mode has a λ-term in the engine.
 
 Parsing is CKY over a packed chart keyed by (category, type), seeded with
 each lexical entry over every span its tokens match; an optional
 syntactic CFG is intersected with the type grammar by the product
-construction.  Unpacking a packed forest is capped and deterministic.
+construction.  Unpacking a packed forest is capped and deterministic, and
+reaches only the root items whose derivations can make the cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 from . import terms as T
-from .lambda_eval import COMPILE, EVAL_ERRORS, apply_value, eval_term
+from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, ap, apply_value, counit,
+                          eta, eval_term, fmap_apply, join, lower, upsilon)
 from .lexicon import LanguageParseError, LexEntry, Lexicon, load_file, load_forms
 from .typesys import Arrow, Base, Eff, Registry, Ty, deep_effect_count
+from .values import B, Fn
 
 
 class ModeError(Exception):
@@ -177,77 +182,54 @@ def _cancel(reg, ty):
         return Mode("c", pair=(ty.functor, ty.inner.functor)), ty.inner.inner
 
 
-V, L, A = T.Var, T.Lam, T.App
+def _holds(f, x) -> bool:
+    return _as_bool(apply_value(f, x))
 
 
-def _lam2(f):
-    x, y = T.fresh_var("x"), T.fresh_var("y")
-    return L(x, L(y, f(V(x), V(y))))
-
-
-def _pointwise_term(op):
-    def denote(m):
-        p, q, x = (T.fresh_var(s) for s in "pqx")
-        return L(p, L(q, L(x, op(A(V(p), V(x)), A(V(q), V(x))))))
+def _wrapper(on_left, through):
+    """A wrapper mode's denotation: the inner combination runs on one
+    child's value, the left (``on_left``) or the right, taken
+    ``through(reg, functor, value, go, label)``, where ``go`` finishes the
+    inner combination from what it is given and ``label`` names a closure
+    made for it."""
+    def denote(m, reg):
+        f = m.functor
+        if on_left:
+            return lambda inner: lambda x, y: through(
+                reg, f, x, lambda a: inner(a, y), "\\_a")
+        return lambda inner: lambda x, y: through(
+            reg, f, y, lambda b: inner(x, b), "\\_b")
     return denote
 
 
-def _fmap_left(m):
-    def tr(M):
-        a = T.fresh_var("a")
-        return _lam2(lambda x, y: T.Fmap(m.functor, L(a, A(A(M, V(a)), y)), x))
-    return tr
+def _mapped(reg, f, v, go, label):
+    """ML/MR: map the inner combination over the child's effect."""
+    return fmap_apply(reg, f, Fn(go, label=label), v)
 
 
-def _fmap_right(m):
-    def tr(M):
-        b = T.fresh_var("b")
-        return _lam2(lambda x, y: T.Fmap(m.functor, L(b, A(A(M, x), V(b))), y))
-    return tr
+def _fed_unit(reg, f, phi, go, label):
+    """UL/UR: the inner combination takes ``λv. phi (η_f v)``."""
+    return go(Fn(lambda v: apply_value(phi, eta(reg, f, v)), label=label))
 
 
-def _ap_both(m):
+def _internalised(reg, f, phi, go, label):
+    """EL/ER: the inner combination takes ``Υ_f phi``."""
+    return go(upsilon(reg, f, phi))
+
+
+def _ap_both(m, reg):
     f = m.functor
 
-    def tr(M):
-        a, b = T.fresh_var("a"), T.fresh_var("b")
-        return _lam2(lambda x, y: T.ApOp(
-            f, T.Fmap(f, L(a, L(b, A(A(M, V(a)), V(b)))), x), y))
-    return tr
-
-
-def _unit_right(m):
-    def tr(M):
-        b = T.fresh_var("b")
-        return _lam2(lambda x, phi: A(A(M, x), L(b, A(phi, T.Eta(m.functor, V(b))))))
-    return tr
-
-
-def _unit_left(m):
-    def tr(M):
-        a = T.fresh_var("a")
-        return _lam2(lambda phi, y: A(A(M, L(a, A(phi, T.Eta(m.functor, V(a))))), y))
-    return tr
-
-
-def _upsilon_left(m):
-    def tr(M):
-        return _lam2(lambda phi, y: A(A(M, T.Upsilon(m.functor, phi)), y))
-    return tr
-
-
-def _upsilon_right(m):
-    def tr(M):
-        return _lam2(lambda x, phi: A(A(M, x), T.Upsilon(m.functor, phi)))
-    return tr
+    def curried(inner):
+        return Fn(lambda a: Fn(lambda b: inner(a, b), label="\\_b"), label="\\_a")
+    return lambda inner: lambda x, y: ap(
+        reg, f, fmap_apply(reg, f, curried(inner), x), y)
 
 
 def _around(wrap):
-    """A postfix denotation: ``wrap(m, r)`` around the inner result r."""
-    def denote(m):
-        def tr(M):
-            return _lam2(lambda x, y: wrap(m, A(A(M, x), y)))
-        return tr
+    """A postfix denotation: ``wrap(m, reg, v)`` around the inner result v."""
+    def denote(m, reg):
+        return lambda inner: lambda x, y: wrap(m, reg, inner(x, y))
     return denote
 
 
@@ -261,8 +243,10 @@ class _Rule:
     child types its inner sequence combines; a postfix rule maps the
     result of its inner sequence to ``(mode, shrunk result)``.
     ``rewrap`` puts the mode's functor back on the inner result, when
-    the functor applies to it.  ``denote`` gives a base mode's figure
-    term, or a wrapper/postfix mode's term transformer.  In a diagram
+    the functor applies to it.  ``denote(m, reg)`` is the mode's meaning
+    as a combinator over values: for a base mode a function ``(left,
+    right) -> value``, for a wrapper or postfix mode a transformer taking
+    the inner sequence's such function to its own.  In a diagram
     the mode takes ``takes`` = (left, right) strings off its children's
     effect words and emits a ``cell`` cell, if any.
     """
@@ -277,25 +261,31 @@ class _Rule:
 
 
 MODE_RULES = {
-    "fwd": _Rule("base", None, _fwd, lambda m: _lam2(lambda phi, x: A(phi, x))),
-    "bwd": _Rule("base", None, _bwd, lambda m: _lam2(lambda x, phi: A(phi, x))),
-    "conj": _Rule("base", None, _pointwise("conj"), _pointwise_term(T.And)),
-    "disj": _Rule("base", None, _pointwise("disj"), _pointwise_term(T.Or)),
-    "ml": _Rule("wrapper", "functor", _on_left("ml", _strip), _fmap_left,
+    "fwd": _Rule("base", None, _fwd, lambda m, reg: apply_value),
+    "bwd": _Rule("base", None, _bwd, lambda m, reg: lambda x, phi: apply_value(phi, x)),
+    # the right predicate runs only where the left one leaves the result open
+    "conj": _Rule("base", None, _pointwise("conj"), lambda m, reg: lambda p, q: Fn(
+        lambda x: B(_holds(p, x) and _holds(q, x)), label="\\_x")),
+    "disj": _Rule("base", None, _pointwise("disj"), lambda m, reg: lambda p, q: Fn(
+        lambda x: B(_holds(p, x) or _holds(q, x)), label="\\_x")),
+    "ml": _Rule("wrapper", "functor", _on_left("ml", _strip), _wrapper(True, _mapped),
                 rewrap=True, takes=(1, 0)),
-    "mr": _Rule("wrapper", "functor", _on_right("mr", _strip), _fmap_right,
+    "mr": _Rule("wrapper", "functor", _on_right("mr", _strip), _wrapper(False, _mapped),
                 rewrap=True, takes=(0, 1)),
     "a": _Rule("wrapper", "functor", _merge, _ap_both,
                rewrap=True, takes=(1, 1), cell="ap"),
-    "ul": _Rule("wrapper", "functor", _on_right("ul", _feed_unit), _unit_right),
-    "ur": _Rule("wrapper", "functor", _on_left("ur", _feed_unit), _unit_left),
-    "el": _Rule("wrapper", "functor", _on_left("el", _internalise), _upsilon_left),
-    "er": _Rule("wrapper", "functor", _on_right("er", _internalise), _upsilon_right),
+    "ul": _Rule("wrapper", "functor", _on_right("ul", _feed_unit),
+                _wrapper(False, _fed_unit)),
+    "ur": _Rule("wrapper", "functor", _on_left("ur", _feed_unit), _wrapper(True, _fed_unit)),
+    "el": _Rule("wrapper", "functor", _on_left("el", _internalise),
+                _wrapper(True, _internalised)),
+    "er": _Rule("wrapper", "functor", _on_right("er", _internalise),
+                _wrapper(False, _internalised)),
     "j": _Rule("postfix", "functor", _join,
-               _around(lambda m, r: T.Mu(m.functor, r)), cell="mu"),
-    "dn": _Rule("postfix", None, _lower, _around(lambda m, r: T.Lower(r)), cell="lower"),
+               _around(lambda m, reg, v: join(reg, m.functor, v)), cell="mu"),
+    "dn": _Rule("postfix", None, _lower, _around(lambda m, reg, v: lower(v)), cell="lower"),
     "c": _Rule("postfix", "pair", _cancel,
-               _around(lambda m, r: T.Eps(*m.pair, r)), cell="epsilon"),
+               _around(lambda m, reg, v: counit(reg, *m.pair, v)), cell="epsilon"),
 }
 _RULES_AT = {place: tuple(rule for rule in MODE_RULES.values() if rule.place == place)
              for place in ("base", "wrapper", "postfix")}
@@ -514,19 +504,6 @@ class Branch(Derivation):
     _memo = None
 
 
-@cache
-def _mode_term(m: Mode) -> T.Term:
-    """One closed term per mode: a base mode's figure term, or
-    ``λv. transformer(v)`` for a wrapper or postfix mode.  The term reads
-    no registry and is immutable, so every parse shares it; there are only
-    as many as there are distinct modes."""
-    rule = MODE_RULES[m.kind]
-    if rule.place == "base":
-        return rule.denote(m)
-    v = T.fresh_var("m")
-    return T.Lam(v, rule.denote(m)(T.Var(v)))
-
-
 @dataclass(frozen=True)
 class NodeTerm(T.Term):
     """The closed term of a branch: it evaluates to the branch's value
@@ -539,16 +516,15 @@ def derivation_term(reg: Registry, d: Derivation) -> T.Term:
     """One closed term for a derivation.
 
     A leaf is its lexical term.  A branch with modes m1 ... mk is a
-    :class:`NodeTerm`, whose value is that of ``T_m1 (... (T_mk-1 T_mk))``
-    applied to the left child's value and then to the right child's,
-    evaluated call-by-value in that order: a beta-redex of substituting
-    each figure into its wrapper's transformer, so it has that term's
-    value.  Each mode's term is built and compiled once per process.
-    Branches of one :meth:`Forest.derivations` list share a memo of
-    outcomes: each branch is evaluated once, whether it yields a value or
-    raises one of :data:`~effparse.lambda_eval.EVAL_ERRORS`, and its
-    outcome is dropped after its last use, so evaluating the list in order
-    holds only the outcomes still to be used.
+    :class:`NodeTerm`, whose value is :func:`branch_value`: the mode
+    combinators composed, ``m1(... mk-1(mk))``, applied to the left and
+    right children's values.  That is the value of the λ-term that
+    substitutes each figure into its wrappers' transformers, evaluated
+    call-by-value.  Branches of one :meth:`Forest.derivations` list share
+    a memo of outcomes: each branch is evaluated once, whether it yields a
+    value or raises one of :data:`~effparse.lambda_eval.EVAL_ERRORS`, and
+    its outcome is dropped after its last use, so evaluating the list in
+    order holds only the outcomes still to be used.
     """
     if isinstance(d, Leaf):
         return d.entry.term
@@ -577,7 +553,7 @@ def _node_value(d: Derivation, model, reg: Registry):
     object.__setattr__(d, "_uses", uses)
     held = d._memo
     if held is None or held[0] is not model or held[1] is not reg:
-        held = model, reg, outcome(branch_value, d, model, reg,
+        held = model, reg, outcome(branch_value, d, reg,
                                    lambda child: outcome(_node_value, child, model, reg))
     object.__setattr__(d, "_memo", held if uses > 0 else None)
     return value_of(held[2])
@@ -605,21 +581,19 @@ def value_of(result):
     return result
 
 
-def branch_value(d: Branch, model, reg: Registry, child_outcome):
+def branch_value(d: Branch, reg: Registry, child_outcome):
     """The value of ``d`` given ``child_outcome(child)``, a child's
     :func:`outcome`.  Both children are taken, left then right, and the
     first failure in call-by-value order is raised: the left child's, the
-    right child's, then the application's.  The mode terms
-    ``T_m1 (... (T_mk-1 T_mk))`` are evaluated and applied from the
-    innermost out, then to the left value and to the right value; every
-    mode term has the form ``λx.λy. …``, so the application to the left
-    value only builds a closure and cannot fail."""
+    right child's, then the combination's.  The combinators of
+    :data:`MODE_RULES` are composed from the innermost mode out and the
+    result is applied to the two values; no term is evaluated."""
     left, right = child_outcome(d.left), child_outcome(d.right)
-    fns = [eval_term(_mode_term(m), _NO_ENV, model, reg) for m in d.modes]
-    fn = fns.pop()
-    for outer in reversed(fns):
-        fn = apply_value(outer, fn)
-    return apply_value(apply_value(fn, value_of(left)), value_of(right))
+    *outer, base = d.modes
+    fn = MODE_RULES[base.kind].denote(base, reg)
+    for m in reversed(outer):
+        fn = MODE_RULES[m.kind].denote(m, reg)(fn)
+    return fn(value_of(left), value_of(right))
 
 
 COMPILE[NodeTerm] = lambda t: lambda env, model, reg: _node_value(t.node, model, reg)
@@ -756,17 +730,30 @@ class Forest:
                    for cell in self.chart.values() for item in cell.values())
 
     def derivations(self, limit: int = 64):
-        """The first ``limit`` derivations in key order.  Each branch
+        """The first ``limit`` derivations in key order: the first
+        ``limit`` of each root item, sorted by :func:`derivation_key` and
+        cut.  A branch's key starts with its type text and every leaf's key
+        sorts after every branch's, so root items are unpacked a type text
+        at a time, in sorted order, only until complete types hold
+        ``limit`` branches; no later root can reach the list.  Each branch
         records how often evaluating the list in order uses its value
         (see :func:`_count_uses`)."""
         # ids are stable keys: types and mode sequences stay alive in the
         # chart, and nodes in ``out``
         memo: dict = {}
         texts: dict = {}
-        roots = sorted(self.root_items(), key=lambda it: it.key)
+        by_type: dict = {}
+        for item in sorted(self.root_items(), key=lambda it: it.key):
+            by_type.setdefault(_text(texts, item.ty, str), []).append(item)
         out = []
-        for item in roots:
-            out.extend(_unpack(item, limit, memo, texts))
+        branches = 0
+        for text in sorted(by_type):
+            if branches >= limit:
+                break
+            for item in by_type[text]:
+                found = _unpack(item, limit, memo, texts)
+                out.extend(found)
+                branches += sum(isinstance(d, Branch) for d in found)
         keys: dict = {}
         out.sort(key=lambda d: derivation_key(d, keys, texts))
         derivs = tuple(out[:limit])

@@ -3,14 +3,15 @@
 ``eval_term`` compiles each term once to a Python closure and keeps it on
 the term: ``COMPILE`` holds one rule per term class, and a term's closure
 calls its subterms' closures directly instead of walking the tree on each
-evaluation.  Lexical and mode terms are long-lived, so they are compiled
-once per process.  The closures take the environment, model and registry
+evaluation.  Lexical terms are long-lived, so they are compiled once per
+process.  The closures take the environment, model and registry
 on every call and capture none of them, so one compiled term serves any
 model; errors (unbound variables, terms no rule compiles) are raised when
 the term is evaluated, not when it is compiled.  ``combine`` adds the rule
 for derivation nodes: a branch's term evaluates through a memo kept on the
 branch, so a subtree shared by many derivations of one list is evaluated
-once.  The memo keeps the branch's outcome, its value or the error its
+once, and the branch's modes combine its children's values through the
+functor operations defined here, with no term of their own.  The memo keeps the branch's outcome, its value or the error its
 evaluation raised, and drops it after its last use.  ``EVAL_ERRORS``
 lists the errors evaluation raises because of the language or model it
 runs on; they are kept without their tracebacks and printed as

@@ -388,11 +388,13 @@ def language_to_text(lex: Lexicon) -> str:
 
 def load_model_text(text: str) -> Model:
     """The model in ``text``.  A repeated entity and a row of the wrong
-    length are rejected at their form, naming its line; an undeclared
-    entity is found by :class:`Model` once every form is read."""
+    length are rejected at their form, naming its line.  An entity may be
+    declared after its use, so an undeclared one is rejected once every
+    form is read, on the line of its first use."""
     entities = []
     predicates = {}
     seqs = {"assignment": (), "state": ()}
+    uses = {}  # entity -> (line, error message) of its first use
 
     def entity(form, line):
         name = _symbol(form.items[1], line)
@@ -409,20 +411,25 @@ def load_model_text(text: str) -> Model:
                 raise LanguageParseError("extension rows must be lists", line)
             row = tuple(_symbol(e, line) for e in node.items)
             check_arity(name, arity, row)
+            for e in row:
+                uses.setdefault(e, (line, f"predicate {name}: undeclared entity {e}"))
             rows.add(row)
         predicates[name, arity] = predicates.get((name, arity), frozenset()) | rows
 
     def seq(form, line):
         seqs[form.items[0]] = tuple(_symbol(e, line) for e in form.items[1:])
+        for e in seqs[form.items[0]]:
+            uses.setdefault(e, (line, f"undeclared entity {e} in assignment/state"))
 
     load_forms(text, {
         "entity": entity, "pred": pred, "assignment": seq, "state": seq,
     }, unknown="unknown model form {}")
-    try:
-        return Model(entities=tuple(entities), predicates=predicates,
-                     initial_assignment=seqs["assignment"], initial_state=seqs["state"])
-    except ModelError as exc:
-        raise LanguageSemanticError(str(exc)) from exc
+    for name, (line, message) in uses.items():
+        if name not in entities:
+            raise LanguageSemanticError(f"line {line}: {message}")
+    # every check of Model is made above, on its line
+    return Model(entities=tuple(entities), predicates=predicates,
+                 initial_assignment=seqs["assignment"], initial_state=seqs["state"])
 
 
 def load_model(path) -> Model:

@@ -24,7 +24,7 @@ def _value_texts(reg, d: Derivation, model) -> dict:
         if isinstance(node, Leaf):
             result = outcome(eval_term, node.entry.term, {}, model, reg)
         else:
-            result = outcome(branch_value, node, model, reg, evaluate)
+            result = outcome(branch_value, node, reg, evaluate)
         outcomes[id(node)] = result
         return result
 

@@ -1,11 +1,13 @@
-"""Lambda-term IR for word and combinator denotations.
+"""Lambda-term IR for word denotations.
 
 Terms are immutable trees.  Effect operations (fmap, unit, join, ap,
 counit, internalisation, lowering, named transformations) appear as
 explicit nodes whose functor arguments are effect names resolved against
 the registry at evaluation time.  ``Coerce`` is internal: the type checker
 inserts it where a literal carrier term (a lambda over assignments,
-states, or continuations) stands for an effect-typed value.
+states, or continuations) stands for an effect-typed value.  Combination
+modes have no terms here: ``combine.MODE_RULES`` gives each one's meaning
+as a combinator over values.
 """
 
 from __future__ import annotations

@@ -103,9 +103,14 @@ def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, me
     ("(entity c1)\n(entity c1)", "line 2: duplicate entity c1"),
     ("(entity c1)\n(pred cat 1 (c1) (c1 c1))",
      "line 2: predicate cat: tuple ('c1', 'c1') does not match arity 1"),
-    ("(entity c1)\n(pred cat 1 (c2))", "predicate cat: undeclared entity c2"),
-    ("(entity c1)\n(assignment c2)", "undeclared entity c2 in assignment/state"),
-], ids=["duplicate entity", "wrong arity", "undeclared in pred", "undeclared in assignment"])
+    ("(entity c1)\n(pred cat 1 (c2))", "line 2: predicate cat: undeclared entity c2"),
+    ("(entity c1)\n(assignment c2)", "line 2: undeclared entity c2 in assignment/state"),
+    ("(entity c1)\n(state c1 c2)", "line 2: undeclared entity c2 in assignment/state"),
+    # c1 is used before it is declared, which is allowed; c2 never is
+    ("(pred cat 1 (c1))\n(entity c1)\n(state c2)\n(pred dog 1 (c2))",
+     "line 3: undeclared entity c2 in assignment/state"),
+], ids=["duplicate entity", "wrong arity", "undeclared in pred", "undeclared in assignment",
+        "undeclared in state", "declared after use"])
 def test_an_inconsistent_model_is_a_semantic_error_exit_3(capsys, tmp_path, forms,
                                                           message):
     bad = tmp_path / "bad.model"

@@ -14,13 +14,15 @@ from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               outcome, parse, parse_forest,
                               parse_mode, parse_modes, prune, render_modes,
                               replay_modes, value_of)
-from effparse.lambda_eval import EvalError, eval_term, join
+from effparse.lambda_eval import EVAL_ERRORS, EvalError, eval_term, join
 from effparse.lexicon import load_language, load_language_text, language_to_text
 from effparse.model import ModelError
 from effparse.typesys import Arrow, Base, Eff
-from effparse.values import SetV, E, render as render_value, values_equal
+from effparse.values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
+                             SetV, StateV, render as render_value, values_equal)
 
 from .conftest import DATA, entry
+from .mode_terms import denote, folded_term, mode_sequence_term
 from .test_cli_matrix import SENTENCES
 
 e, t = Base("e"), Base("t")
@@ -127,12 +129,6 @@ def test_pruned_enumeration_equals_post_filtering(syntax):
 
 # -- mode denotations ----------------------------------------------------------
 
-def denote(m):
-    """A base mode's figure term, or a wrapper/postfix mode's term
-    transformer."""
-    return MODE_RULES[m.kind].denote(m)
-
-
 def test_forward_application_term(registry):
     term = denote(Mode("fwd"))
     assert isinstance(term, T.Lam)
@@ -160,6 +156,90 @@ def test_join_mode_matches_explicit_join(registry, law_model):
     naive = join(registry, "S", nested)
     assert values_equal(got, naive, law_model)
     assert got == SetV([E("a")])
+
+
+def _is(*names):
+    """A predicate of entities: true of ``names``."""
+    return Fn(lambda v: B(v.name in names))
+
+
+def _states(*outcomes):
+    """A state transformer of ``(value, pushes the value?)`` outcomes."""
+    return StateV(lambda s: SetV(PairV(v, SeqV((v,) + s.items) if push else s)
+                                 for v, push in outcomes))
+
+
+_EVERY = ContV(lambda c: B(all(c(E(x)).value for x in "abcd")))
+_SOME = ContV(lambda c: B(any(c(E(x)).value for x in "abcd")))
+_FIRST = ReaderV(lambda g: g.items[0])
+_RED = _is("a", "c")
+
+# (modes, left value, right value, fails): every mode kind, on hand-built
+# values of each carrier; ``fails`` rows raise an evaluation error
+MODE_CASES = [
+    (">", _RED, E("a"), False),
+    (">", E("a"), E("b"), True),
+    ("<", E("b"), _RED, False),
+    ("&", _RED, _is("a", "b"), False),
+    ("|", _RED, _is("a", "b"), False),
+    ("&", Fn(lambda v: v), _RED, True),  # a pointwise operand yields no truth value
+    ("|", _RED, Fn(lambda v: v), True),
+    ("ML_S <", SetV([E("a"), E("b")]), _RED, False),
+    ("MR_M >", _RED, MaybeV(E("c")), False),
+    ("MR_M >", _RED, MaybeV(ABSENT), False),
+    ("ML_G <", _FIRST, _RED, False),
+    ("MR_D >", _RED, _states((E("a"), True), (E("b"), False)), False),
+    ("ML_P <", PairV(E("b"), SeqV((E("a"),))), _RED, False),
+    ("MR_W >", _RED, PairV(E("c"), B(True)), False),
+    ("ML_C <", _EVERY, _RED, False),
+    ("MR_C >", _RED, _SOME, False),
+    ("A_S <", SetV([E("a"), E("b")]), SetV([_RED, _is("b")]), False),
+    ("A_D >", _states((_RED, True)), _states((E("c"), True), (E("d"), False)), False),
+    ("A_M <", E("a"), MaybeV(_RED), True),  # not an M-carrier
+    ("UL_M <", E("a"), Fn(lambda m: B(not m.absent and m.payload == E("a"))), False),
+    ("UR_M >", Fn(lambda m: B(m.payload == E("b"))), E("b"), False),
+    ("UR_S >", Fn(lambda s: _is(*(x.name for x in s.elems))), E("c"), False),
+    ("EL_G >", ReaderV(lambda g: _is(g.items[0].name)), E("a"), False),
+    ("ER_G <", E("b"), ReaderV(lambda g: _is(g.items[0].name)), False),
+    ("EL_G >", _RED, E("a"), True),  # not a G-carrier
+    ("J_S >", Fn(lambda x: SetV([SetV([x]), SetV([E("b")])])), E("a"), False),
+    ("J_D MR_D >", Fn(lambda x: _states((x, True))), _states((E("c"), True)), False),
+    ("DN MR_C >", _RED, _EVERY, False),
+    ("DN MR_C >", _RED, _SOME, False),
+    ("C_P:G >", Fn(lambda x: PairV(ReaderV(lambda g: B(g.items[0] == x)), SeqV((E("a"),)))),
+     E("a"), False),
+    ("C_P:G >", Fn(lambda x: x), E("a"), True),  # not a P-carrier
+]
+
+
+def _forced(make, force):
+    """``(False, forced value)``, or ``(True, (error class, message))``."""
+    try:
+        return False, force(make())
+    except EVAL_ERRORS as exc:
+        return True, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("modes, left, right, fails", MODE_CASES,
+                         ids=[f"{c[0]}-{n}" for n, c in enumerate(MODE_CASES)])
+def test_each_mode_combinator_evaluates_like_its_term(english, law_model, modes, left,
+                                                      right, fails):
+    """``branch_value`` composes the combinators of ``MODE_RULES``; the
+    reference is the λ-term of ``tests/mode_terms.py`` applied to the same
+    values.  Both give equal forced data, or the same error."""
+    reg, force = english.registry, _benchmark_forcer(law_model)
+    seq = parse_modes(modes)
+    values = {"l": left, "r": right}
+    got = _forced(lambda: branch_value(Branch(None, seq, "l", "r"), reg, values.get), force)
+    term = T.App(T.App(mode_sequence_term(seq), T.Var("l")), T.Var("r"))
+    want = _forced(lambda: eval_term(term, values, law_model, reg), force)
+    assert got == want
+    assert got[0] is fails
+
+
+def test_mode_cases_cover_every_mode_kind():
+    kinds = {m.kind for c in MODE_CASES for m in parse_modes(c[0])}
+    assert kinds == set(MODE_RULES)
 
 
 # -- parse ---------------------------------------------------------------------
@@ -301,6 +381,43 @@ def test_derivation_order_is_the_key_order(english, syntax, with_syntax, ks):
         assert list(got) == reference[:64], k
 
 
+CUT_SENTENCES = [(s, syn) for s in SENTENCES for syn in (False, True)] + [
+    ("a cat" + " in a box" * k, False) for k in range(1, 7)] + [
+    ("it", False), ("it", True)]  # leaf roots only
+
+
+@pytest.mark.parametrize("sentence, with_syntax", CUT_SENTENCES)
+def test_the_unpacking_cut_is_exact(english, syntax, sentence, with_syntax):
+    """``Forest.derivations(n)`` unpacks only the root types it needs, and
+    equals unpacking every root item, sorting and cutting to n."""
+    forest = parse_forest(sentence.split(), english,
+                          syntax=syntax if with_syntax else None, seq_cap=64)
+    roots = sorted(forest.root_items(), key=lambda it: it.key)
+    for n in (1, 2, 3, 5, 7, 12, 20, 32, 64):
+        memo: dict = {}
+        reference = sorted((d for it in roots for d in _unpack(it, n, memo)),
+                           key=_reference_key)
+        assert list(forest.derivations(n)) == reference[:n], n
+
+
+def test_unpacking_skips_the_root_types_the_cap_does_not_reach(english, monkeypatch):
+    from effparse import combine
+    tokens = ("a cat" + " in a box" * 6).split()
+    forest = parse_forest(tokens, english, seq_cap=64)
+    assert len(forest.root_items()) == 14
+    roots = []
+
+    def recorded(item, *args):
+        if item.span == (0, len(tokens)):
+            roots.append(str(item.ty))
+        return _unpack(item, *args)
+    monkeypatch.setattr(combine, "_unpack", recorded)
+    derivs = forest.derivations(64)
+    assert len(derivs) == 64
+    # D^7 e sorts first by type text and alone holds 64 branches
+    assert roots == ["D D D D D D D e"]
+
+
 def test_chart_cell_count_closed_form(english):
     forest = parse_forest("a cat in a box".split(), english)
     n = 5
@@ -391,17 +508,6 @@ def test_a_printed_failure_is_the_error_of_evaluating_the_node(english, solar,
     assert printed.splitlines()[0].endswith(
         "<error: predicate cat is not declared in the model>")
     assert "<error: predicate box is not declared in the model>" in printed
-
-
-def folded_term(reg, d):
-    """The derivation's term with each base figure substituted into its
-    wrappers' transformers, one fresh transformer term per node."""
-    if isinstance(d, Leaf):
-        return d.entry.term
-    term = denote(d.modes[-1])
-    for m in reversed(d.modes[:-1]):
-        term = denote(m)(term)
-    return T.App(T.App(term, folded_term(reg, d.left)), folded_term(reg, d.right))
 
 
 def _benchmark_forcer(model):

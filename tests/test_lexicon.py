@@ -175,6 +175,13 @@ def test_model_rejects_undeclared_entity_in_extension():
         load_model_text("(entity c1)(pred cat 1 (c9))")
 
 
+def test_an_entity_may_be_declared_after_its_use():
+    m = load_model_text("(pred cat 1 (c1))\n(assignment c1)\n(state c1)\n(entity c1)")
+    assert m.entities == ("c1",)
+    assert m.predicates[("cat", 1)] == frozenset({("c1",)})
+    assert m.initial_assignment == m.initial_state == ("c1",)
+
+
 def test_model_allows_empty_extension():
     m = load_model_text("(entity c1)(pred cat 1)")
     assert m.predicates[("cat", 1)] == frozenset()
