@@ -445,23 +445,6 @@ def diagram_to_sexpr(d: Diagram) -> str:
     return sexpr.unparse(("diagram", ":inputs", tuple(d.inputs), ":nodes", nodes))
 
 
-def diagram_from_sexpr(text: str) -> Diagram:
-    forms = sexpr.parse(text)
-    if len(forms) != 1 or not isinstance(forms[0], sexpr.Node):
-        raise DiagramError("expected a single (diagram ...) form")
-    form = forms[0]
-    if not form.items or form.items[0] != "diagram":
-        raise DiagramError("expected a (diagram ...) form")
-    kw = dict(zip(form.items[1::2], form.items[2::2]))
-    inputs = tuple(kw[":inputs"].items) if ":inputs" in kw else ()
-    nodes = []
-    for node in kw.get(":nodes", sexpr.Node((), 0)).items:
-        pos, kindform = node.items[0], node.items[1]
-        kind, params = kindform.items[0], tuple(kindform.items[1:])
-        nodes.append(_cell(pos, kind, params))
-    return Diagram(inputs=inputs, nodes=tuple(nodes))
-
-
 def diagram_to_dot(d: Diagram) -> str:
     """Render cells as boxes and string segments as edges, bottom to top."""
     lines = ["digraph effect_diagram {", "  rankdir=BT;",

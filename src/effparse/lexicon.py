@@ -16,15 +16,15 @@ multi-token entry, seeded only over its full span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import sexpr
 from . import terms as T
 from .lambda_eval import BUILTIN_NATS, EVAL_ERRORS, SPOT_PAYLOADS, eta, run_handler
 from .model import Model, ModelError, check_arity, check_new_entity
 from .typecheck import TypeCheckError, check_term
-from .typesys import (Arrow, Base, Eff, FunctorDef, NatDef, Prod, Registry,
-                      Ty, TypeSysError, UnknownEffectError, deep_effect_count)
+from .typesys import (Arrow, FunctorDef, NatDef, Prod, Registry, Ty, TypeSysError,
+                      UnknownEffectError, deep_effect_count)
 from .values import values_equal
 
 
@@ -76,18 +76,6 @@ def parse_type(form, reg: Registry, line=0) -> Ty:
     raise LanguageParseError(f"bad type expression {sexpr.unparse(form)}", line)
 
 
-def type_to_sexpr(ty: Ty):
-    if isinstance(ty, Base):
-        return ty.name
-    if isinstance(ty, Arrow):
-        return ("->", type_to_sexpr(ty.dom), type_to_sexpr(ty.cod))
-    if isinstance(ty, Prod):
-        return ("*", type_to_sexpr(ty.left), type_to_sexpr(ty.right))
-    if isinstance(ty, Eff):
-        return (ty.functor, type_to_sexpr(ty.inner))
-    raise TypeSysError(f"not a type: {ty!r}")
-
-
 # each regular term head: its class and its arguments in field order,
 # "s" for a symbol and "t" for a subterm
 TERM_HEADS = {
@@ -101,7 +89,6 @@ TERM_HEADS = {
     "upsilon": (T.Upsilon, "st"), "lower": (T.Lower, "t"),
     "handler": (T.ApplyNat, "st"),
 }
-_HEAD_OF = {cls: (head, kinds) for head, (cls, kinds) in TERM_HEADS.items()}
 
 
 def parse_term(form, line=0) -> T.Term:
@@ -140,28 +127,6 @@ def parse_term(form, line=0) -> T.Term:
             raise LanguageParseError("idx expects a literal position", line)
         return T.Idx(parse_term(items[1], line), items[2])
     raise LanguageParseError(f"unknown term head {head}", line)
-
-
-def term_to_sexpr(term: T.Term):
-    tts = term_to_sexpr
-    spec = _HEAD_OF.get(type(term))
-    if spec is not None:
-        head, kinds = spec
-        args = (getattr(term, f.name) for f in fields(term))
-        return (head, *(x if k == "s" else tts(x) for k, x in zip(kinds, args)))
-    if isinstance(term, T.Var):
-        return term.name
-    if isinstance(term, T.BoolLit):
-        return "true" if term.value else "false"
-    if isinstance(term, T.Pred):
-        return ("pred", term.name, *map(tts, term.args))
-    if isinstance(term, T.SetBuilder):
-        return ("set", term.var, ":where", tts(term.guard), ":yield", tts(term.yields))
-    if isinstance(term, T.Idx):
-        return ("idx", tts(term.seq), term.index)
-    if isinstance(term, T.Coerce):
-        return tts(term.body)
-    raise LanguageParseError(f"cannot serialize {term!r}")
 
 
 def _symbol(x, line):
@@ -350,40 +315,6 @@ def _spot_check_handlers(reg: Registry) -> None:
                     f"handler {nat.name} violates h . eta = id on {v}")
 
 
-# -- language serialization ------------------------------------------------
-
-def language_to_text(lex: Lexicon) -> str:
-    reg = lex.registry
-    out = []
-    for name in reg.base_names():
-        out.append(sexpr.unparse(("base-type", name)))
-    for fname in reg.functor_names():
-        f = reg.functor(fname)
-        form = ["functor", f.id, ":caps", tuple(sorted(f.capabilities)),
-                ":commutative", "true" if f.commutative else "false"]
-        if f.applies_to is None:
-            form += [":applies-to", "*"]
-        else:
-            form += [":applies-to", type_to_sexpr(f.applies_to[0])]
-        out.append(sexpr.unparse(tuple(form)))
-    for left, right in reg.adjunctions():
-        out.append(sexpr.unparse(("adjunction", left, right)))
-    for nat in reg.nats():
-        form = ["nat", nat.name, ":from", tuple(nat.source), ":to", tuple(nat.target),
-                ":handler", "true" if nat.is_handler else "false",
-                ":impl", nat.component]
-        if nat.default is not None:
-            form += [":default", term_to_sexpr(nat.default)]
-        out.append(sexpr.unparse(tuple(form)))
-    for e in lex.entries:
-        form = ["word", sexpr.String(e.surface), ":type", type_to_sexpr(e.ty),
-                ":term", term_to_sexpr(e.term)]
-        if e.category is not None:
-            form += [":cat", e.category]
-        out.append(sexpr.unparse(tuple(form)))
-    return "\n".join(out) + "\n"
-
-
 # -- model loading ----------------------------------------------------------
 
 def load_model_text(text: str) -> Model:
@@ -403,8 +334,8 @@ def load_model_text(text: str) -> Model:
 
     def pred(form, line):
         name, arity = _symbol(form.items[1], line), form.items[2]
-        if not isinstance(arity, int):
-            raise LanguageParseError("pred needs a literal arity", line)
+        if not isinstance(arity, int) or arity < 0:
+            raise LanguageParseError("pred needs a literal arity of 0 or more", line)
         rows = set()
         for node in form.items[3:]:
             if not isinstance(node, sexpr.Node):
@@ -434,13 +365,3 @@ def load_model_text(text: str) -> Model:
 
 def load_model(path) -> Model:
     return load_file(path, load_model_text)
-
-
-def model_to_text(model: Model) -> str:
-    out = [sexpr.unparse(("entity", e)) for e in model.entities]
-    for (name, arity), rows in sorted(model.predicates.items()):
-        form = ["pred", name, arity, *[tuple(r) for r in sorted(rows)]]
-        out.append(sexpr.unparse(tuple(form)))
-    out.append(sexpr.unparse(("assignment", *model.initial_assignment)))
-    out.append(sexpr.unparse(("state", *model.initial_state)))
-    return "\n".join(out) + "\n"

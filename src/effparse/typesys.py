@@ -3,14 +3,9 @@
 Types are plain syntax trees: declared base symbols, arrows, products, and
 effect applications ``Eff(F, t)``.  A :class:`Registry` owns the declared
 base types, the effect functors with their capability flags, the natural
-transformations (including handlers), and the adjunction pairing.  All
-typing questions -- purity, effect stacks, applicability, the subtyping
-preorder induced by effect application -- are answered against a registry.
-
-The subtyping relation exposed here is the preorder generated by "wrap in
-one more registered effect": ``Eff(F, t) <= t`` whenever ``F`` applies to
-``t``, closed under transitivity.  It acts on the outermost effect stack
-only; there is no congruence under arrows or products.
+transformations (including handlers), and the adjunction pairing.  Whether
+a type is well formed, whether a functor applies to a type, and what a
+functor can do are answered against a registry.
 """
 
 from __future__ import annotations
@@ -225,9 +220,6 @@ class Registry:
         except KeyError:
             raise MalformedTypeError(f"undeclared base type {name}") from None
 
-    def base_names(self) -> tuple:
-        return tuple(self._bases)
-
     def functor(self, f: EffectId) -> FunctorDef:
         try:
             return self._functors[f]
@@ -294,56 +286,12 @@ class Registry:
         else:
             raise MalformedTypeError(f"not a type: {ty!r}")
 
-    def is_pure(self, ty: Ty) -> bool:
-        """True iff ``ty`` contains no effect constructor anywhere."""
-        self.well_formed(ty)
-        return deep_effect_count(ty) == 0
-
-    def effect_stack(self, ty: Ty):
-        """Peel the outermost effect applications.
-
-        Returns ``(effects, core)`` with ``effects`` outermost-first; the
-        input is reconstructible by refolding.
-        """
-        self.well_formed(ty)
-        effects = []
-        while isinstance(ty, Eff):
-            effects.append(ty.functor)
-            ty = ty.inner
-        return tuple(effects), ty
-
-    def refold(self, effects, core: Ty) -> Ty:
-        ty = core
-        for f in reversed(tuple(effects)):
-            ty = Eff(f, ty)
-        self.well_formed(ty)
-        return ty
-
     def apply_functor(self, f: EffectId, ty: Ty) -> Ty:
         self.functor(f)
         self.well_formed(ty)
         if not self.applicable(f, ty):
             raise InapplicableFunctorError(f"functor {f} does not apply to {ty}")
         return Eff(f, ty)
-
-    def subtype_leq(self, sub: Ty, sup: Ty) -> bool:
-        """True iff ``sub`` arises from ``sup`` by prepending registered
-        effect applications at the outermost position."""
-        self.well_formed(sub)
-        self.well_formed(sup)
-        sub_effects, sub_core = self.effect_stack(sub)
-        sup_effects, sup_core = self.effect_stack(sup)
-        if sub_core != sup_core:
-            return False
-        n_extra = len(sub_effects) - len(sup_effects)
-        if n_extra < 0 or sub_effects[n_extra:] != sup_effects:
-            return False
-        ty = sup
-        for f in reversed(sub_effects[:n_extra]):
-            if not self.applicable(f, ty):
-                return False
-            ty = Eff(f, ty)
-        return True
 
 
 def deep_effect_count(ty: Ty) -> int:

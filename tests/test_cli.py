@@ -80,14 +80,16 @@ def test_language_semantic_error_exit_3(capsys, tmp_path):
     ("--language", "(nat n :from S :to () :handler true :impl identity)", ":from expects a list"),
     ("--model", "(entity)", "malformed entity form"),
     ("--model", "(pred p)", "malformed pred form"),
+    ("--model", "(entity a) (pred cat -1) (assignment a) (state)",
+     "pred needs a literal arity of 0 or more"),
     ("--syntax", "(rule S)", "rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)"),
     ("--syntax", "(foo S NP VP)", "syntax files contain only (rule ...) forms"),
     ("--language", "(", "unbalanced ("),
     ("--model", "(", "unbalanced ("),
     ("--syntax", "(", "unbalanced ("),
     ("--model", "()", "top-level forms must be lists"),
-], ids=["nat", "entity", "pred", "short rule", "not a rule", "unbalanced language",
-        "unbalanced model", "unbalanced syntax", "empty model form"])
+], ids=["nat", "entity", "pred", "negative arity", "short rule", "not a rule",
+        "unbalanced language", "unbalanced model", "unbalanced syntax", "empty model form"])
 def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, message):
     bad = tmp_path / "bad"
     bad.write_text("\n" + form + "\n")

@@ -15,7 +15,8 @@ from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               parse_mode, parse_modes, prune, render_modes,
                               replay_modes, value_of)
 from effparse.lambda_eval import EVAL_ERRORS, EvalError, eval_term, join
-from effparse.lexicon import load_language, load_language_text, language_to_text
+from effparse import sexpr
+from effparse.lexicon import load_language, load_language_text
 from effparse.model import ModelError
 from effparse.typesys import Arrow, Base, Eff
 from effparse.values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
@@ -323,9 +324,14 @@ def test_budget_bound_respected(english):
                 assert width <= bound
 
 
-def test_chart_monotonicity(english, solar):
-    base_text = language_to_text(english)
-    extended = base_text + '(word "dog" :type (-> e t) :term (lam x (pred dog x)) :cat N)\n'
+def _english_forms():
+    """The top-level forms of ``data/english.lang``, one text each."""
+    return [sexpr.unparse(form) for form in sexpr.parse((DATA / "english.lang").read_text())]
+
+
+def test_chart_monotonicity(english):
+    extended = "\n".join(_english_forms() + [
+        '(word "dog" :type (-> e t) :term (lam x (pred dog x)) :cat N)'])
     bigger = load_language_text(extended)
     for sent in ("the cat sleeps", "a cat in a box"):
         small_parses = {str(d.ty) for d in parse(sent.split(), english, max_derivations=64)}
@@ -334,13 +340,12 @@ def test_chart_monotonicity(english, solar):
 
 
 def test_parse_is_order_independent(english):
-    shuffled_text = language_to_text(english)
-    # move the last word declaration to the front
-    lines = [l for l in shuffled_text.splitlines() if l.strip()]
-    words = [l for l in lines if l.startswith("(word")]
-    rest = [l for l in lines if not l.startswith("(word")]
-    reordered = "\n".join(rest + words[::-1])
-    other = load_language_text(reordered)
+    # the word declarations in reverse order
+    forms = _english_forms()
+    words = [f for f in forms if f.startswith("(word")]
+    rest = [f for f in forms if not f.startswith("(word")]
+    other = load_language_text("\n".join(rest + words[::-1]))
+    assert [e.surface for e in other.entries] == [e.surface for e in english.entries][::-1]
     for sent in ("the cat sleeps", "a cat in a box"):
         a = [(str(d.ty), render_modes(d.modes))
              for d in parse(sent.split(), english, max_derivations=64)]

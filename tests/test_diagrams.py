@@ -2,8 +2,7 @@ import pytest
 
 from effparse.combine import parse, render_modes
 from effparse.diagrams import (Diagram, DiagramError, all_normal_forms,
-                               applicable_reductions, cell_menu,
-                               diagram_from_sexpr, diagram_to_dot,
+                               applicable_reductions, cell_menu, diagram_to_dot,
                                diagram_to_sexpr, diagrams_equal,
                                enumerate_diagrams, eq_normalize, eta_adj_cell,
                                eta_cell, epsilon_cell, from_derivation,
@@ -11,7 +10,7 @@ from effparse.diagrams import (Diagram, DiagramError, all_normal_forms,
                                right_normalize, validate, first_violation)
 from effparse.typesys import Base, Eff
 
-from .conftest import entry
+from .conftest import ROOT, entry
 
 e, t = Base("e"), Base("t")
 
@@ -270,11 +269,18 @@ def test_confluence_small_oracle():
 
 # -- serialization ----------------------------------------------------------------
 
-def test_sexpr_roundtrip():
+def test_diagram_sexpr_text():
+    """The form the CLI prints, as the README gives its grammar."""
+    grammar = ("(diagram :inputs (F ...) :nodes ((pos (kind params...) (ins...) "
+               "(outs...)) ...))")
+    assert grammar in (ROOT / "README.md").read_text()
     d = Diagram(inputs=("F1", "F2"),
                 nodes=(eta_cell(1, "F1"), mu_cell(2, "F1"),
                        handler_cell(0, "h1", "F2")))
-    assert diagram_from_sexpr(diagram_to_sexpr(d)) == d
+    assert diagram_to_sexpr(d) == ("(diagram :inputs (F1 F2) :nodes ("
+                                   "(1 (eta F1) () (F1)) "
+                                   "(2 (mu F1) (F1 F1) (F1)) "
+                                   "(0 (handler h1 F2) (F2) ())))")
 
 
 def test_dot_output_mentions_cells():

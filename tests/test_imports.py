@@ -1,12 +1,14 @@
-"""A lint gate: every module of the package uses each name it imports at
-top level."""
+"""Lint gates over the package source: every module uses each name it
+imports at top level, and every definition is used by some code that
+runs."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "effparse"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "effparse"
 
 
 def unused_imports(source: str) -> list:
@@ -28,3 +30,105 @@ def test_an_unused_import_is_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# -- dead definitions ----------------------------------------------------------
+
+# Definitions that no engine path or benchmark runs, kept because a test
+# uses each one as a reference: the name and the test that uses it.
+TEST_REFERENCES = (
+    ("parse_modes", "tests/test_combine.py::test_mode_string_roundtrip"),
+    ("enumerate_modes", "tests/test_combine.py::test_pruned_enumeration_equals_post_filtering"),
+    ("replay_modes", "tests/test_combine.py::test_replay_soundness_of_parses"),
+    ("prune", "tests/test_combine.py::test_pruned_enumeration_equals_post_filtering"),
+    ("mode_count", "tests/test_acceptance.py::test_criterion_7_parsing_scale"),
+    ("eta_cell", "tests/test_diagrams.py::test_unit_then_join_cancels"),
+    ("mu_cell", "tests/test_diagrams.py::test_unit_then_join_cancels"),
+    ("eta_adj_cell", "tests/test_diagrams.py::test_snake_cancels_to_empty"),
+    ("epsilon_cell", "tests/test_diagrams.py::test_snake_cancels_to_empty"),
+    ("handler_cell", "tests/test_diagrams.py::test_eta_then_handler_cancels"),
+    ("lower_cell", "tests/test_diagrams.py::test_eta_then_lower_cancels"),
+    ("adjunction_unit", "tests/test_acceptance.py::test_criterion_4_law_suites"),
+    ("fresh_var", "tests/mode_terms.py::_lam2"),
+)
+
+
+def _names_used(nodes) -> set:
+    """Every name and attribute name that the code of ``nodes`` uses."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _definitions(node):
+    """``(name, names its code uses)`` for a top-level function or class
+    and for each method of a class; a class's own uses leave out its
+    methods."""
+    if isinstance(node, ast.FunctionDef):
+        yield node.name, _names_used([node])
+        return
+    methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+    yield node.name, _names_used(n for n in ast.iter_child_nodes(node) if n not in methods)
+    for method in methods:
+        yield method.name, _names_used([method])
+
+
+def unused_definitions(modules, roots=(), kept=()) -> list:
+    """The names of the top-level functions, classes and class methods in
+    the ``modules`` sources that no running code uses.
+
+    Code runs if it is a statement of ``modules`` outside every
+    definition, anywhere in the ``roots`` sources, or a definition that
+    running code uses as a name or an attribute; its own body does not
+    count.  Special methods (``__init__`` ...) and the ``kept`` names run
+    too."""
+    defs, used = [], _names_used(ast.parse(source) for source in roots) | set(kept)
+    for source in modules:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.extend(_definitions(node))
+            else:
+                used |= _names_used([node])
+    todo = [i for i, (name, _) in enumerate(defs)
+            if name in used or name.startswith("__") and name.endswith("__")]
+    live = set()
+    while todo:
+        i = todo.pop()
+        if i not in live:
+            live.add(i)
+            todo += [j for j, (name, _) in enumerate(defs)
+                     if j != i and j not in live and name in defs[i][1]]
+    return sorted({name for i, (name, _) in enumerate(defs) if i not in live})
+
+
+def test_an_unused_definition_is_found():
+    module = ("def main(): return helper()\n"
+              "def helper(): return 1\n"
+              "def orphan(): return chained() + orphan()\n"
+              "def chained(): return 2\n"
+              "class Box:\n"
+              "    def __init__(self): self.n = 0\n"
+              "    def used(self): return self.n\n"
+              "    def unused(self): return self.used()\n"
+              "BOX = Box()\n")
+    assert unused_definitions([module], roots=["main()\nBOX.used()\n"]) == [
+        "chained", "orphan", "unused"]
+    assert unused_definitions([module], roots=["main()\n"], kept=["orphan"]) == [
+        "unused", "used"]
+
+
+def _sources(directory):
+    return [p.read_text() for p in sorted(directory.glob("*.py"))]
+
+
+def test_every_definition_is_used():
+    engine, bench = _sources(SRC), _sources(ROOT / "perfbench")
+    kept = [name for name, _ in TEST_REFERENCES]
+    assert unused_definitions(engine, roots=bench, kept=kept) == []
+    # each exception is needed, and its test uses the name
+    assert set(kept) <= set(unused_definitions(engine, roots=bench))
+    for name, test in TEST_REFERENCES:
+        path, function = test.split("::")
+        [node] = [n for n in ast.parse((ROOT / path).read_text()).body
+                  if isinstance(n, ast.FunctionDef) and n.name == function]
+        assert name in _names_used([node]), test

@@ -5,10 +5,9 @@ import hypothesis.strategies as st
 from effparse.combine import UnknownTokenError, parse_forest
 from effparse.lambda_eval import eta, run_handler
 from effparse import sexpr
-from effparse.lexicon import (LanguageParseError, LanguageSemanticError, Lexicon,
-                              language_to_text, load_language_text,
-                              load_model_text, model_to_text, parse_term,
-                              term_to_sexpr)
+from effparse import terms as T
+from effparse.lexicon import (TERM_HEADS, LanguageParseError, LanguageSemanticError,
+                              load_language_text, load_model_text, parse_term)
 from effparse.typesys import Arrow, Base, Eff, deep_effect_count
 from effparse.values import B, E, values_equal
 
@@ -105,25 +104,22 @@ def test_max_effect_rank_counts_deep_effects(english):
         deep_effect_count(e.ty) for e in english.entries)
 
 
-def test_language_roundtrip_is_fixpoint(english):
-    text = language_to_text(english)
-    again = load_language_text(text)
-    assert language_to_text(again) == text
-    assert [e.surface for e in again.entries] == [e.surface for e in english.entries]
-    assert [e.ty for e in again.entries] == [e.ty for e in english.entries]
-    assert [e.term for e in again.entries] == [e.term for e in english.entries]
-    assert again.registry.functor_names() == english.registry.functor_names()
-    assert again.registry.adjunctions() == english.registry.adjunctions()
+x, y, p, q, f = map(T.Var, "xypqf")
 
-
-HEAD_FORMS = [
-    "(lam x y)", "(app f x)", "(pair x y)", "(pred near x y)", "(const a)",
-    "(set x :where (pred cat x) :yield x)", "(if true x false)",
-    "(forall x p)", "(exists x p)", "(not p)", "(and p q)", "(or p q)",
-    "(eq x y)", "(push x s)", "(idx g 0)", "(fmap S f x)", "(eta G x)",
-    "(mu D x)", "(ap M f x)", "(eps P G x)", "(upsilon G f)", "(lower x)",
-    "(handler iota x)",
-]
+# each term head's form, and the term it reads as
+HEAD_FORMS = {
+    "(lam x y)": T.Lam("x", y), "(app f x)": T.App(f, x), "(pair x y)": T.Pair(x, y),
+    "(pred near x y)": T.Pred("near", (x, y)), "(const a)": T.Const("a"),
+    "(set x :where (pred cat x) :yield x)": T.SetBuilder("x", T.Pred("cat", (x,)), x),
+    "(if true x false)": T.If(T.BoolLit(True), x, T.BoolLit(False)),
+    "(forall x p)": T.Forall("x", p), "(exists x p)": T.Exists("x", p),
+    "(not p)": T.Not(p), "(and p q)": T.And(p, q), "(or p q)": T.Or(p, q),
+    "(eq x y)": T.Eq(x, y), "(push x s)": T.Push(x, T.Var("s")),
+    "(idx g 0)": T.Idx(T.Var("g"), 0), "(fmap S f x)": T.Fmap("S", f, x),
+    "(eta G x)": T.Eta("G", x), "(mu D x)": T.Mu("D", x), "(ap M f x)": T.ApOp("M", f, x),
+    "(eps P G x)": T.Eps("P", "G", x), "(upsilon G f)": T.Upsilon("G", f),
+    "(lower x)": T.Lower(x), "(handler iota x)": T.ApplyNat("iota", x),
+}
 
 ARITY = {"lam": 2, "app": 2, "pair": 2, "const": 1, "if": 3, "forall": 2,
          "exists": 2, "not": 1, "and": 2, "or": 2, "eq": 2, "push": 2,
@@ -131,10 +127,19 @@ ARITY = {"lam": 2, "app": 2, "pair": 2, "const": 1, "if": 3, "forall": 2,
          "upsilon": 2, "lower": 1, "handler": 2}
 
 
+def test_head_cases_cover_every_term_head():
+    heads = {sexpr.parse(text)[0].items[0] for text in HEAD_FORMS}
+    assert heads == set(TERM_HEADS) | {"pred", "set", "idx"}
+    assert set(ARITY) == set(TERM_HEADS) | {"idx"}
+
+
 @pytest.mark.parametrize("text", HEAD_FORMS)
 def test_every_term_head_roundtrips(text):
+    """The form reads back to its text, and parses to its head's class
+    with each argument in its field."""
     [form] = sexpr.parse(text)
-    assert sexpr.unparse(term_to_sexpr(parse_term(form))) == text
+    assert sexpr.unparse(form) == text
+    assert parse_term(form) == HEAD_FORMS[text]
 
 
 @pytest.mark.parametrize("head", sorted(ARITY))
@@ -155,13 +160,6 @@ def test_lambda_without_a_literal_carrier_type_is_rejected(functor, decls):
     with pytest.raises(LanguageSemanticError,
                        match=f"a lambda cannot have type {functor} e"):
         load_language_text(text)
-
-
-def test_model_roundtrip_is_fixpoint(solar):
-    text = model_to_text(solar)
-    again = load_model_text(text)
-    assert again == solar
-    assert model_to_text(again) == text
 
 
 def test_model_readback():

@@ -2,33 +2,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from effparse.typesys import (Arrow, Base, Eff, FunctorDef,
-                              InapplicableFunctorError, MalformedTypeError,
-                              Prod, Registry, RegistryError, deep_effect_count)
+from effparse.typesys import (Base, Eff, FunctorDef, InapplicableFunctorError,
+                              MalformedTypeError, Registry, RegistryError)
 
 from .strategies import types
 
 e, t = Base("e"), Base("t")
 
 
-def test_is_pure_on_pure_arrow(registry):
-    assert registry.is_pure(Arrow(e, t))
-
-
-def test_is_pure_rejects_effects(registry):
-    assert not registry.is_pure(Eff("M", e))
-    assert not registry.is_pure(Eff("D", Arrow(e, t)))
-
-
-def test_is_pure_checks_base_names(registry):
+def test_well_formed_rejects_an_undeclared_base_type(registry):
     with pytest.raises(MalformedTypeError):
-        registry.is_pure(Base("zz"))
-
-
-def test_effect_stack_peels_outermost(registry):
-    assert registry.effect_stack(Eff("M", Eff("D", t))) == (("M", "D"), t)
-    assert registry.effect_stack(t) == ((), t)
-    assert registry.effect_stack(Eff("D", Arrow(e, t))) == (("D",), Arrow(e, t))
+        registry.well_formed(Base("zz"))
 
 
 def test_apply_functor(registry):
@@ -47,12 +31,6 @@ def test_apply_functor_respects_applicability():
         reg.apply_functor("Q", Base("t"))
 
 
-def test_subtype_examples(registry):
-    assert registry.subtype_leq(Eff("M", t), t)
-    assert registry.subtype_leq(t, t)
-    assert not registry.subtype_leq(Eff("M", t), Eff("D", t))
-
-
 def test_capability_implications_enforced():
     with pytest.raises(RegistryError):
         FunctorDef(id="X", capabilities=frozenset({"monad"}))
@@ -67,45 +45,6 @@ def test_adjunction_requires_registered_partner():
     reg.add_functor(FunctorDef(id="L0", capabilities=frozenset({"functor"})))
     with pytest.raises(RegistryError):
         reg.add_adjunction("L0", "R0")
-
-
-@given(ty=st.data())
-@settings(max_examples=200, deadline=None)
-def test_effect_stack_refold_roundtrip(registry, ty):
-    ty = ty.draw(types(registry))
-    effects, core = registry.effect_stack(ty)
-    assert registry.refold(effects, core) == ty
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_is_pure_iff_no_effects_anywhere(registry, data):
-    ty = data.draw(types(registry))
-    effects, core = registry.effect_stack(ty)
-    assert registry.is_pure(ty) == (not effects and deep_effect_count(core) == 0)
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_subtype_reflexive(registry, data):
-    ty = data.draw(types(registry))
-    assert registry.subtype_leq(ty, ty)
-
-
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_subtype_transitive(registry, data):
-    sup = data.draw(types(registry))
-    fs = registry.functor_names()
-    mid = sup
-    for f in data.draw(st.lists(st.sampled_from(fs), max_size=3)):
-        mid = Eff(f, mid)
-    sub = mid
-    for f in data.draw(st.lists(st.sampled_from(fs), max_size=3)):
-        sub = Eff(f, sub)
-    assert registry.subtype_leq(mid, sup)
-    assert registry.subtype_leq(sub, mid)
-    assert registry.subtype_leq(sub, sup)
 
 
 @given(data=st.data())
