@@ -22,13 +22,13 @@ reaches only the root items whose derivations can make the cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import terms as T
 from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, ap, apply_value, counit,
                           eta, eval_term, fmap_apply, join, lower, upsilon)
 from .lexicon import LanguageParseError, LexEntry, Lexicon, load_file, load_forms
+from .record import Record, cached_hash
 from .typesys import Arrow, Base, Eff, Registry, Ty, deep_effect_count
 from .values import B, Fn
 
@@ -49,22 +49,30 @@ _RENDER_BASE = {v: k for k, v in _BASE_RENDER.items()}
 _T = Base("t")
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(Record):
+    """One mode: its kind and the functor or adjoint pair it is indexed
+    by.  ``rendered``, its text, is kept beside the fields, and its hash
+    is the text's, computed once: mode sequences are hashed on every step
+    of :func:`modes_by_type`.  Equality and the repr leave both out."""
+
     kind: str
     functor: str | None = None
     pair: tuple | None = None
-    rendered: str = field(init=False, compare=False, repr=False, default="")
 
-    def __post_init__(self):
-        if self.kind not in MODE_RULES:
-            raise ModeError(f"unknown mode kind {self.kind}")
-        text = _BASE_RENDER.get(self.kind) or self.kind.upper()
-        if self.pair is not None:
-            text += f"_{self.pair[0]}:{self.pair[1]}"
-        elif self.functor is not None:
-            text += f"_{self.functor}"
+    def __init__(self, kind, functor=None, pair=None):
+        if kind not in MODE_RULES:
+            raise ModeError(f"unknown mode kind {kind}")
+        text = _BASE_RENDER.get(kind) or kind.upper()
+        if pair is not None:
+            text += f"_{pair[0]}:{pair[1]}"
+        elif functor is not None:
+            text += f"_{functor}"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "functor", functor)
+        object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "rendered", text)
+
+    __hash__ = cached_hash(lambda m: hash(m.rendered))
 
     def render(self) -> str:
         return self.rendered
@@ -233,8 +241,7 @@ def _around(wrap):
     return denote
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(Record):
     """What one mode kind does in typing, denotation and diagrams.
 
     ``step`` is the typing rule; it returns None where the kind does not
@@ -475,21 +482,21 @@ def prune(seq, reg: Registry) -> bool:
 
 # -- derivations -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     pass
 
 
-@dataclass(frozen=True)
 class Leaf(Derivation):
     entry: LexEntry
+
+    def __init__(self, entry):
+        object.__setattr__(self, "entry", entry)
 
     @property
     def ty(self) -> Ty:
         return self.entry.ty
 
 
-@dataclass(frozen=True)
 class Branch(Derivation):
     """A combination of two subderivations.  Beside its fields it carries
     the node memo's state: ``_uses``, the uses of its value still to come,
@@ -503,13 +510,21 @@ class Branch(Derivation):
     _uses = 0
     _memo = None
 
+    def __init__(self, ty, modes, left, right):
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
+
 class NodeTerm(T.Term):
     """The closed term of a branch: it evaluates to the branch's value
     through the node memo (see :func:`_node_value`)."""
 
     node: Branch
+
+    def __init__(self, node):
+        object.__setattr__(self, "node", node)
 
 
 def derivation_term(reg: Registry, d: Derivation) -> T.Term:
@@ -649,8 +664,7 @@ def mode_count(d: Derivation) -> int:
 
 # -- syntax CFG ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntaxCFG:
+class SyntaxCFG(Record):
     """A syntactic CFG.  Each category set is a tuple in the order the
     parser visits it, sorted by the categories' text."""
 
@@ -698,8 +712,7 @@ def load_syntax(path) -> SyntaxCFG:
 
 # -- chart parsing -------------------------------------------------------------
 
-@dataclass
-class _Item:
+class _Item(Record, frozen=False):
     """A chart item.  Each of its ``sources`` is a :class:`LexEntry` seeded
     over the item's span or a packed back-pointer ``(seqs, left, right)``:
     every mode sequence in ``seqs`` combines the two child items into this
@@ -709,7 +722,10 @@ class _Item:
     span: tuple
     cat: object
     ty: Ty
-    sources: list = field(default_factory=list)
+    sources: list
+
+    def __init__(self, span, cat, ty):
+        self.span, self.cat, self.ty, self.sources = span, cat, ty, []
 
     @cached_property
     def key(self):
@@ -717,8 +733,7 @@ class _Item:
         return (self.span, "" if self.cat is None else str(self.cat), str(self.ty))
 
 
-@dataclass
-class Forest:
+class Forest(Record, frozen=False):
     n: int
     chart: dict
 

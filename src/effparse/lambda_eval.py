@@ -31,11 +31,11 @@ appear in diagrams but have no runtime carrier: evaluating them raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import terms as T
 from .model import Model, ModelError
+from .record import Record
 from .typesys import (Arrow, CapabilityError, Eff, NatDef, Prod, Registry,
                       TypeSysError, UnknownEffectError)
 from .values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
@@ -312,8 +312,7 @@ def _state(run):
     return StateV(checked)
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Record):
     """The runtime carrier of one effect functor.
 
     ``fmap(fn, v)`` and ``join(vv)`` take a value already checked against

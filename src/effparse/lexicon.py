@@ -16,12 +16,11 @@ multi-token entry, seeded only over its full span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import sexpr
 from . import terms as T
 from .lambda_eval import BUILTIN_NATS, EVAL_ERRORS, SPOT_PAYLOADS, eta, run_handler
 from .model import Model, ModelError, check_arity, check_new_entity
+from .record import Record
 from .typecheck import TypeCheckError, check_term
 from .typesys import (Arrow, FunctorDef, NatDef, Prod, Registry, Ty, TypeSysError,
                       UnknownEffectError, deep_effect_count)
@@ -38,8 +37,7 @@ class LanguageSemanticError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(Record):
     surface: str
     tokens: tuple
     ty: Ty
@@ -47,10 +45,9 @@ class LexEntry:
     category: str | None = None
 
 
-@dataclass
-class Lexicon:
+class Lexicon(Record, frozen=False):
     registry: Registry
-    entries: list = field(default_factory=list)
+    entries: list
     max_effect_rank: int = 0
 
 

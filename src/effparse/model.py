@@ -8,17 +8,16 @@ deterministic choice handler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
 class ModelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     entities: tuple = ()
-    predicates: dict = field(default_factory=dict)  # (name, arity) -> frozenset of tuples
+    predicates: dict = {}  # (name, arity) -> frozenset of tuples; never mutated
     initial_assignment: tuple = ()
     initial_state: tuple = ()
 

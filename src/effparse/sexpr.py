@@ -7,7 +7,7 @@ lists.  Comments run from ``;`` to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class SexprError(Exception):
@@ -16,15 +16,13 @@ class SexprError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class String:
+class String(Record):
     """A double-quoted literal, kept distinct from bare symbols."""
 
     value: str
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """A parenthesised list plus the line it started on."""
 
     items: tuple

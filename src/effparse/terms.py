@@ -13,96 +13,81 @@ as a combinator over values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     pass
 
 
-@dataclass(frozen=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     param: str
     body: Term
 
 
-@dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Pred(Term):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
 class Const(Term):
     entity: str
 
 
-@dataclass(frozen=True)
 class BoolLit(Term):
     value: bool
 
 
-@dataclass(frozen=True)
 class Not(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class And(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Or(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Eq(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class If(Term):
     cond: Term
     then: Term
     other: Term
 
 
-@dataclass(frozen=True)
 class Forall(Term):
     var: str
     body: Term
 
 
-@dataclass(frozen=True)
 class Exists(Term):
     var: str
     body: Term
 
 
-@dataclass(frozen=True)
 class SetBuilder(Term):
     """{ yields | var ranges over entities, guard holds }"""
 
@@ -111,7 +96,6 @@ class SetBuilder(Term):
     yields: Term
 
 
-@dataclass(frozen=True)
 class Push(Term):
     """Prepend an element to a discourse-state sequence."""
 
@@ -119,7 +103,6 @@ class Push(Term):
     seq: Term
 
 
-@dataclass(frozen=True)
 class Idx(Term):
     """Read a position of an assignment/state sequence."""
 
@@ -127,51 +110,43 @@ class Idx(Term):
     index: int
 
 
-@dataclass(frozen=True)
 class Fmap(Term):
     functor: str
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
 class Eta(Term):
     functor: str
     arg: Term
 
 
-@dataclass(frozen=True)
 class Mu(Term):
     functor: str
     arg: Term
 
 
-@dataclass(frozen=True)
 class ApOp(Term):
     functor: str
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
 class Eps(Term):
     left: str
     right: str
     arg: Term
 
 
-@dataclass(frozen=True)
 class Upsilon(Term):
     functor: str
     fn: Term
 
 
-@dataclass(frozen=True)
 class Lower(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class ApplyNat(Term):
     """Apply a registered natural transformation (handlers included)."""
 
@@ -179,7 +154,6 @@ class ApplyNat(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class Coerce(Term):
     """Internal: wrap the value of ``body`` as the carrier of ``functor``."""
 

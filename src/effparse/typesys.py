@@ -10,7 +10,7 @@ functor can do are answered against a registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record, cached_hash
 
 EffectId = str
 
@@ -41,24 +41,13 @@ class RegistryError(TypeSysError):
     pass
 
 
-class _CachedHash:
-    """Structural hash computed once; deep types sit in hot dictionaries."""
+class Ty(Record):
+    """Abstract type node; concrete forms below.  Equality is structural,
+    and the hash is computed once, as deep types sit in hot dictionaries."""
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._hash_key())
-            object.__setattr__(self, "_hash", h)
-            return h
+    __hash__ = cached_hash(lambda ty: hash(ty._hash_key()))
 
 
-@dataclass(frozen=True)
-class Ty(_CachedHash):
-    """Abstract type node; concrete forms below."""
-
-
-@dataclass(frozen=True, eq=True)
 class Base(Ty):
     name: str
 
@@ -69,7 +58,6 @@ class Base(Ty):
         return self.name
 
 
-@dataclass(frozen=True)
 class Arrow(Ty):
     dom: Ty
     cod: Ty
@@ -82,7 +70,6 @@ class Arrow(Ty):
         return f"{dom} -> {self.cod}"
 
 
-@dataclass(frozen=True)
 class Prod(Ty):
     left: Ty
     right: Ty
@@ -94,7 +81,6 @@ class Prod(Ty):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
 class Eff(Ty):
     functor: EffectId
     inner: Ty
@@ -108,14 +94,13 @@ class Eff(Ty):
         return f"{self.functor} {self.inner}"
 
 
-# dataclass generates per-class __hash__ for frozen classes; restore the
-# caching one (equality stays structural)
+# the record base gives each class a structural __hash__ over its fields;
+# put back the caching one (equality stays structural)
 for _cls in (Base, Arrow, Prod, Eff):
-    _cls.__hash__ = _CachedHash.__hash__
+    _cls.__hash__ = Ty.__hash__
 
 
-@dataclass(frozen=True)
-class FunctorDef:
+class FunctorDef(Record):
     """A registered effect functor.
 
     ``applies_to`` is the set of admissible argument types: ``None`` means
@@ -125,7 +110,7 @@ class FunctorDef:
     """
 
     id: EffectId
-    capabilities: frozenset = field(default_factory=frozenset)
+    capabilities: frozenset = frozenset()
     commutative: bool = False
     applies_to: tuple | None = None
 
@@ -142,8 +127,7 @@ class FunctorDef:
             raise RegistryError(f"functor {self.id}: commutative is meaningful only for monads")
 
 
-@dataclass(frozen=True)
-class NatDef:
+class NatDef(Record):
     """A registered natural transformation between effect words.
 
     Handlers are the special case with an empty target word; they resolve

@@ -16,10 +16,10 @@ that several derivations share do not repeat their runs when forced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .model import Model
+from .record import Record, cached_hash
 
 
 class ValueError_(Exception):
@@ -36,44 +36,60 @@ class _Absent:
 ABSENT = _Absent()
 
 
-@dataclass(frozen=True, eq=False)
-class Value:
-    """A runtime value.  Plain data compares structurally: its dataclasses
-    keep ``eq`` and ``SetV`` compares its canonical elements.  The
-    function-like carriers are declared ``eq=False`` too, so they compare
-    by identity; :func:`values_equal` compares them extensionally."""
+class Value(Record):
+    """A runtime value.  Plain data compares structurally: each record
+    class compares its fields, and ``SetV`` compares its canonical
+    elements.  The function-like carriers are declared ``eq=False``, so
+    they compare by identity; :func:`values_equal` compares them
+    extensionally.  Every value class but ``SetV`` and ``StateV`` stores
+    its fields in its own constructor, as values are built at a high rate
+    (see :mod:`effparse.record`)."""
 
 
-@dataclass(frozen=True)
 class B(Value):
     value: bool
 
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
+
 class E(Value):
     name: str
 
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
+
 class PairV(Value):
     left: Value
     right: Value
 
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
+
 class MaybeV(Value):
     payload: object  # Value or ABSENT
+
+    def __init__(self, payload):
+        object.__setattr__(self, "payload", payload)
 
     @property
     def absent(self) -> bool:
         return self.payload is ABSENT
 
 
-@dataclass(frozen=True)
 class SeqV(Value):
-    """Assignment / discourse-state sequence."""
+    """Assignment / discourse-state sequence.  Its hash is computed once,
+    as states are the keys of every ``StateV`` memo."""
 
     items: tuple = ()
+
+    def __init__(self, items=()):
+        object.__setattr__(self, "items", items)
+
+    __hash__ = cached_hash(lambda s: hash(s.items))
 
 
 class SetV(Value):
@@ -120,19 +136,23 @@ class SetV(Value):
         return hash(self.elems)
 
 
-@dataclass(frozen=True, eq=False)
-class Fn(Value):
+class Fn(Value, eq=False):
     run: object  # Value -> Value
     label: str = "fn"
 
+    def __init__(self, run, label="fn"):
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "label", label)
 
-@dataclass(frozen=True, eq=False)
-class ReaderV(Value):
+
+class ReaderV(Value, eq=False):
     run: object  # SeqV -> Value
 
+    def __init__(self, run):
+        object.__setattr__(self, "run", run)
 
-@dataclass(frozen=True, eq=False)
-class StateV(Value):
+
+class StateV(Value, eq=False):
     """A state transformer: ``run`` maps a state ``SeqV`` to a ``SetV`` of
     ``PairV(value, state)`` outcomes.
 
@@ -164,9 +184,11 @@ def _memoised(fn):
     return run
 
 
-@dataclass(frozen=True, eq=False)
-class ContV(Value):
+class ContV(Value, eq=False):
     run: object  # (Value -> B) -> B
+
+    def __init__(self, run):
+        object.__setattr__(self, "run", run)
 
 
 def structural_key(v):

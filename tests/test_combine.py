@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import importlib.util
 import traceback
 
@@ -17,7 +16,7 @@ from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
 from effparse.lambda_eval import EVAL_ERRORS, EvalError, eval_term, join
 from effparse import sexpr
 from effparse.lexicon import load_language, load_language_text
-from effparse.model import ModelError
+from effparse.model import Model, ModelError
 from effparse.typesys import Arrow, Base, Eff
 from effparse.values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
                              SetV, StateV, render as render_value, values_equal)
@@ -543,12 +542,18 @@ def _moved(model):
     preds = dict(model.predicates)
     preds[("cat", 1)] = frozenset({("c2",), ("m1",)})
     preds[("in", 2)] = frozenset({("b1", "c2"), ("b1", "m1"), ("j", "b1")})
-    return dataclasses.replace(model, predicates=preds)
+    return _with_predicates(model, preds)
 
 
 def _without(model, pred):
-    return dataclasses.replace(model, predicates={
-        k: v for k, v in model.predicates.items() if k[0] != pred})
+    return _with_predicates(model, {k: v for k, v in model.predicates.items()
+                                    if k[0] != pred})
+
+
+def _with_predicates(model, predicates):
+    return Model(entities=model.entities, predicates=predicates,
+                 initial_assignment=model.initial_assignment,
+                 initial_state=model.initial_state)
 
 
 def _evaluation_orders(n):

@@ -1,9 +1,11 @@
 """Lint gates over the package source: every module uses each name it
-imports at top level, and every definition is used by some code that
-runs."""
+imports at top level, every definition is used by some code that runs,
+and no class is made by generating code."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -132,3 +134,29 @@ def test_every_definition_is_used():
         [node] = [n for n in ast.parse((ROOT / path).read_text()).body
                   if isinstance(n, ast.FunctionDef) and n.name == function]
         assert name in _names_used([node]), test
+
+
+# -- no generated code ---------------------------------------------------------
+
+ENGINE_MODULES = ("effparse.cli", "effparse.combine", "effparse.diagrams",
+                  "effparse.lambda_eval", "effparse.lexicon")
+
+
+def test_importing_the_engine_loads_no_dataclasses():
+    """Dataclasses generate each class's methods as source text and run
+    it, which once took most of the engine's import time."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            + "; ".join(f"import {m}" for m in ENGINE_MODULES)
+            + "; print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_runs_source_text(path):
+    tree = ast.parse(path.read_text())
+    assert not {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} & {
+        "exec", "eval", "compile"}
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                and "dataclasses" in ([a.name for a in n.names] + [getattr(n, "module", "")])]
