@@ -5,8 +5,9 @@
              [--eval] [--index I] [--indices I J] [--no-prune] [sentence...]
 
 Commands: parse, eval, diagram, normalize, equal, check.  ``diagram``
-prints the effect diagram of derivation ``--index`` and ``normalize`` its
-equational normal form.
+prints the effect diagram of derivation ``--index`` (default 0) and
+``normalize`` its equational normal form; ``equal`` compares derivations
+``--indices`` (default 0 1).  Any other command rejects these two options.
 
 Exit codes: 0 ok / at least one parse; 1 no parse; 2 a file that cannot
 be read, is not UTF-8 or does not parse, or a bad command-line argument
@@ -55,6 +56,9 @@ _EXIT_CODES = {
     _BadIndex: EXIT_BAD_INDEX,
 }
 
+# the commands that read each derivation-index option
+_READ_BY = {"index": ("diagram", "normalize"), "indices": ("equal",)}
+
 
 def _argparser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -72,10 +76,10 @@ def _argparser() -> argparse.ArgumentParser:
     p.add_argument("--render", choices=["text", "dot"], default="text")
     p.add_argument("--eval", dest="evaluate", action="store_true",
                    help="annotate each node with its evaluated value")
-    p.add_argument("--index", type=int, default=0,
-                   help="derivation index for diagram/normalize")
-    p.add_argument("--indices", type=int, nargs=2, default=(0, 1),
-                   metavar=("I", "J"), help="derivation indices for equal")
+    p.add_argument("--index", type=int,
+                   help="derivation index for diagram/normalize (default 0)")
+    p.add_argument("--indices", type=int, nargs=2, metavar=("I", "J"),
+                   help="derivation indices for equal (default 0 1)")
     p.add_argument("--no-prune", action="store_true",
                    help="keep mode sequences the rewrite rules would discard")
     p.add_argument("sentence", nargs="*", help="sentence tokens (or one quoted string)")
@@ -93,6 +97,10 @@ def main(argv=None) -> int:
     if args.max_derivations < 1:
         parser.error("argument --max-derivations: must be at least 1, "
                      f"got {args.max_derivations}")
+    for option, readers in _READ_BY.items():
+        if getattr(args, option) is not None and args.command not in readers:
+            parser.error(f"argument --{option}: not read by {args.command}, "
+                         f"only by {' and '.join(readers)}")
     try:
         return _run(args)
     except tuple(_EXIT_CODES) as exc:
@@ -139,7 +147,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "equal":
-        i, j = args.indices
+        i, j = args.indices or (0, 1)
         if not (0 <= i < len(derivs) and 0 <= j < len(derivs)):
             raise _BadIndex(f"derivation indices {i}, {j} out of range "
                             f"(found {len(derivs)})")
@@ -149,10 +157,11 @@ def _run(args) -> int:
         return EXIT_OK
 
     # diagram and normalize
-    if not 0 <= args.index < len(derivs):
-        raise _BadIndex(f"derivation index {args.index} out of range "
+    index = args.index or 0
+    if not 0 <= index < len(derivs):
+        raise _BadIndex(f"derivation index {index} out of range "
                         f"(found {len(derivs)})")
-    dg = from_derivation(reg, derivs[args.index])
+    dg = from_derivation(reg, derivs[index])
     if args.command == "normalize":
         dg = eq_normalize(dg)
     print(diagram_to_dot(dg) if args.render == "dot" else diagram_to_sexpr(dg))

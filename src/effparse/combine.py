@@ -22,7 +22,7 @@ reaches only the root items whose derivations can make the cut.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import terms as T
 from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, ap, apply_value, counit,
@@ -81,6 +81,13 @@ class Mode(Record):
         return self.rendered
 
 
+@lru_cache(maxsize=1 << 10)
+def _mode(kind, functor=None, pair=None) -> Mode:
+    """The one :class:`Mode` of these fields, which the typing rules of
+    :data:`MODE_RULES` hand out each time they apply."""
+    return Mode(kind, functor, pair)
+
+
 def parse_mode(text: str) -> Mode:
     """The mode rendered as ``text``; kinds and their indices come from
     :data:`MODE_RULES`."""
@@ -116,18 +123,18 @@ def _pure(ty: Ty) -> bool:
 
 def _fwd(reg, l, r):
     if isinstance(l, Arrow) and r == l.dom and _pure(l.dom):
-        return Mode("fwd"), l.cod
+        return _mode("fwd"), l.cod
 
 
 def _bwd(reg, l, r):
     if isinstance(r, Arrow) and l == r.dom and _pure(r.dom):
-        return Mode("bwd"), r.cod
+        return _mode("bwd"), r.cod
 
 
 def _pointwise(kind):
     def step(reg, l, r):
         if isinstance(l, Arrow) and l == r and _pure(l.dom) and l.cod == _T:
-            return Mode(kind), l
+            return _mode(kind), l
     return step
 
 
@@ -155,7 +162,7 @@ def _on_left(kind, side):
     def step(reg, l, r):
         hit = side(reg, l)
         if hit is not None:
-            return Mode(kind, hit[0]), (hit[1], r)
+            return _mode(kind, hit[0]), (hit[1], r)
     return step
 
 
@@ -163,31 +170,31 @@ def _on_right(kind, side):
     def step(reg, l, r):
         hit = side(reg, r)
         if hit is not None:
-            return Mode(kind, hit[0]), (l, hit[1])
+            return _mode(kind, hit[0]), (l, hit[1])
     return step
 
 
 def _merge(reg, l, r):
     if (isinstance(l, Eff) and isinstance(r, Eff) and l.functor == r.functor
             and reg.has_cap(l.functor, "applicative")):
-        return Mode("a", l.functor), (l.inner, r.inner)
+        return _mode("a", l.functor), (l.inner, r.inner)
 
 
 def _join(reg, ty):
     if (isinstance(ty, Eff) and isinstance(ty.inner, Eff)
             and ty.functor == ty.inner.functor and reg.has_cap(ty.functor, "monad")):
-        return Mode("j", ty.functor), ty.inner
+        return _mode("j", ty.functor), ty.inner
 
 
 def _lower(reg, ty):
     if isinstance(ty, Eff) and ty.inner == _T and reg.lowering_for(ty.functor) is not None:
-        return Mode("dn"), ty.inner
+        return _mode("dn"), ty.inner
 
 
 def _cancel(reg, ty):
     if (isinstance(ty, Eff) and isinstance(ty.inner, Eff)
             and reg.is_adjunction(ty.functor, ty.inner.functor)):
-        return Mode("c", pair=(ty.functor, ty.inner.functor)), ty.inner.inner
+        return _mode("c", None, (ty.functor, ty.inner.functor)), ty.inner.inner
 
 
 def _holds(f, x) -> bool:
@@ -499,9 +506,13 @@ class Leaf(Derivation):
 
 class Branch(Derivation):
     """A combination of two subderivations.  Beside its fields it carries
-    the node memo's state: ``_uses``, the uses of its value still to come,
-    and ``_memo``, ``(model, reg, outcome)`` or None, where the outcome is
-    the value or the evaluation error it raised (see :func:`_node_value`)."""
+    two memos.  The node memo's state is ``_uses``, the uses of its value
+    still to come, and ``_memo``, ``(model, reg, outcome)`` or None, where
+    the outcome is the value or the evaluation error it raised (see
+    :func:`_node_value`).  ``_drawn`` is its diagram summary or the
+    planarity error it keeps, once a diagram through it has been drawn
+    (see :func:`effparse.diagrams.from_derivation`); it depends on the
+    derivation alone."""
 
     ty: Ty
     modes: tuple
@@ -509,6 +520,7 @@ class Branch(Derivation):
     right: Derivation
     _uses = 0
     _memo = None
+    _drawn = None
 
     def __init__(self, ty, modes, left, right):
         object.__setattr__(self, "ty", ty)
@@ -611,7 +623,14 @@ def branch_value(d: Branch, reg: Registry, child_outcome):
     return fn(value_of(left), value_of(right))
 
 
-COMPILE[NodeTerm] = lambda t: lambda env, model, reg: _node_value(t.node, model, reg)
+def _compile_node(t: NodeTerm):
+    """The closure of a :class:`NodeTerm`.  It holds the branch, not the
+    term that keeps the closure, so the two make no reference cycle."""
+    node = t.node
+    return lambda env, model, reg: _node_value(node, model, reg)
+
+
+COMPILE[NodeTerm] = _compile_node
 
 
 def _count_uses(roots) -> None:

@@ -6,6 +6,13 @@ the count of strings strictly to its right at its input interface, plus
 the effect words it consumes and produces.  Validity is a single
 bottom-up scan of interfaces.
 
+A derivation's diagram is read off a summary of its root: the cells, the
+bottom word, the top word and the top word's order in the node's type.
+A summary is a value that depends on the derivation alone, and a
+branch's is a function of its modes and its children's summaries, so
+shared sub-derivations are drawn once: summaries are memoised by value
+in bounded caches, and each branch keeps its own.
+
 Two normalisation layers exist.  Right (exchange) normalisation sinks
 independent cells so that the ones further right sit lower; it is the
 canonical representative of the planar-isotopy class.  Equational
@@ -22,6 +29,7 @@ from typing import NamedTuple
 
 from . import sexpr
 from .combine import MODE_RULES, Branch, Derivation, Leaf
+from .record import Record, cached_hash
 from .typesys import Registry, positive_effects
 
 
@@ -145,11 +153,20 @@ def first_violation(d: Diagram):
 
 # -- construction from derivations -----------------------------------------
 
-class _Str:
-    __slots__ = ("eff",)
+class _Summary(Record):
+    """What a derivation node contributes to its ancestors' diagrams:
+    ``cells``, with positions counted from the node's right edge, the
+    ``bottom`` word of its leaves, the ``top`` word in physical order, and
+    ``logical``, the top word's strings in the order of the node's type,
+    as indices into ``top``.  Summaries are values: equal nodes have equal
+    summaries wherever they sit, and the hash is computed once."""
 
-    def __init__(self, eff):
-        self.eff = eff
+    cells: tuple
+    bottom: tuple
+    top: tuple
+    logical: tuple
+
+    __hash__ = cached_hash(lambda s: hash((s.cells, s.bottom, s.top, s.logical)))
 
 
 def from_derivation(reg: Registry, d: Derivation) -> Diagram:
@@ -160,23 +177,67 @@ def from_derivation(reg: Registry, d: Derivation) -> Diagram:
     merge, DN a lowering, C an adjunction counit; ML/MR/EL/ER only route
     strings and UL/UR feed units consumed inside a function application,
     so none of them shows up as a cell.
+
+    The diagram is read off the root's :class:`_Summary`.  A leaf's
+    summary depends on its type alone and a branch's on its modes and its
+    children's summaries, so both are memoised by value, and each branch
+    also keeps its own summary (``Branch._drawn``): derivations that share
+    a node draw it once.  A node that is not planar keeps its
+    ``PlanarityError``, and each use raises a fresh copy of it.  Every
+    diagram returned is checked.
     """
-    cells, live, logical, bottom = _build(reg, d)
-    return _checked(Diagram(inputs=tuple(s.eff for s in bottom), nodes=tuple(cells)),
+    drawn = _summary(d)
+    if isinstance(drawn, PlanarityError):
+        raise PlanarityError(*drawn.args)
+    return _checked(Diagram(inputs=drawn.bottom, nodes=drawn.cells),
                     "internal construction fault")
 
 
-def _build(reg, d):
+def _summary(d):
+    """The summary of ``d``, or the ``PlanarityError`` it keeps; the left
+    child's error is the one kept when both children have one."""
     if isinstance(d, Leaf):
-        strs = [_Str(e) for e in positive_effects(d.ty)]
-        return [], list(strs), list(strs), list(strs)
+        return _leaf(d.ty)
     if not isinstance(d, Branch):
         raise DiagramError(f"not a derivation: {d!r}")
-    cells_l, live_l, logical_l, bot_l = _build(reg, d.left)
-    cells_r, live_r, logical_r, bot_r = _build(reg, d.right)
-    cells = [_cell(c.pos + len(bot_r), c.kind, c.params) for c in cells_l]
-    cells += cells_r
-    live = live_l + live_r
+    drawn = d._drawn
+    if drawn is None:
+        drawn = left = _summary(d.left)
+        if not isinstance(left, PlanarityError):
+            drawn = right = _summary(d.right)
+            if not isinstance(right, PlanarityError):
+                drawn = _compose(d.modes, left, right)
+        object.__setattr__(d, "_drawn", drawn)
+    return drawn
+
+
+@lru_cache(maxsize=1 << 10)
+def _leaf(ty) -> _Summary:
+    word = positive_effects(ty)
+    return _Summary((), word, word, tuple(range(len(word))))
+
+
+@lru_cache(maxsize=1 << 14)
+def _compose(modes: tuple, left: _Summary, right: _Summary):
+    """The summary of a branch with ``modes`` over children summarised as
+    ``left`` and ``right``, or the ``PlanarityError`` it raises, kept
+    unraised so that it holds no frames."""
+    try:
+        return _composed(modes, left, right)
+    except PlanarityError as exc:
+        return PlanarityError(*exc.args)
+
+
+def _composed(modes, left, right) -> _Summary:
+    """A branch's strings are numbered: the left child's top word, then
+    the right child's, then each cell's outputs as it is drawn.  ``effs``
+    maps a string to its effect and ``live`` lists the strings of the
+    physical top word."""
+    shift = len(right.bottom)
+    cells = [_cell(c.pos + shift, c.kind, c.params) for c in left.cells]
+    cells += right.cells
+    effs = list(left.top + right.top)
+    live = list(range(len(effs)))
 
     def emit(kind, params, pool):
         """Draw a ``kind`` cell over the first strings of ``pool``; return
@@ -187,42 +248,46 @@ def _build(reg, d):
         if idxs != list(range(i0, i0 + k)):
             raise PlanarityError(
                 f"mode {kind} must merge adjacent strings; derivation is not planar")
-        ins_word = tuple(live[i].eff for i in idxs)
+        ins_word = tuple(effs[live[i]] for i in idxs)
         cell = _cell(len(live) - i0 - k, kind, params)
         if cell.ins != ins_word:
             raise PlanarityError(
                 f"mode {kind} expects strings {cell.ins}, found {ins_word}")
-        created = [_Str(eff) for eff in cell.outs]
+        created = list(range(len(effs), len(effs) + len(cell.outs)))
+        effs.extend(cell.outs)
         live[i0:i0 + k] = created
         cells.append(cell)
         return created + pool[k:]
 
     # peel the strings each wrapper mode takes off the children, outermost
     # first, then rebuild the result's strings from the base mode outwards
-    wl, wr, taken = logical_l, logical_r, []
-    for m in d.modes[:-1]:
+    n = len(left.top)
+    wl, wr, taken = list(left.logical), [n + i for i in right.logical], []
+    for m in modes[:-1]:
         nl, nr = MODE_RULES[m.kind].takes
         taken.append(wl[:nl] + wr[:nr])
         wl, wr = wl[nl:], wr[nr:]
     logical = wl + wr
-    for m, strs in zip(reversed(d.modes[:-1]), reversed(taken)):
+    for m, strs in zip(reversed(modes[:-1]), reversed(taken)):
         logical = strs + logical
         cell = MODE_RULES[m.kind].cell
         if cell is not None:
             # DN carries no functor: it lowers whichever effect it finds
-            logical = emit(cell, m.pair or (m.functor or logical[0].eff,), logical)
+            logical = emit(cell, m.pair or (m.functor or effs[logical[0]],), logical)
     # wire runs of same-effect strings without braiding: within a run the
     # strings are indistinguishable, so the physically monotone assignment
     # is the planar-canonical one
+    at = {s: i for i, s in enumerate(live)}
     i = 0
     while i < len(logical):
         j = i
-        while j + 1 < len(logical) and logical[j + 1].eff == logical[i].eff:
+        while j + 1 < len(logical) and effs[logical[j + 1]] == effs[logical[i]]:
             j += 1
         if j > i:
-            logical[i:j + 1] = sorted(logical[i:j + 1], key=live.index)
+            logical[i:j + 1] = sorted(logical[i:j + 1], key=at.__getitem__)
         i = j + 1
-    return cells, live, logical, bot_l + bot_r
+    return _Summary(tuple(cells), left.bottom + right.bottom,
+                    tuple(effs[s] for s in live), tuple(at[s] for s in logical))
 
 
 # -- exchange (right) normalisation -----------------------------------------

@@ -246,6 +246,28 @@ def test_equal_bad_indices_exit_5(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("command, option", [
+    ("parse", ("--index", "20")), ("eval", ("--index", "1")), ("check", ("--index", "0")),
+    ("parse", ("--indices", "0", "1")), ("eval", ("--indices", "0", "1")),
+    ("check", ("--indices", "0", "1")), ("equal", ("--index", "1")),
+    ("diagram", ("--indices", "0", "1")), ("normalize", ("--indices", "0", "1"))])
+def test_an_index_option_the_command_does_not_read_exits_2(capsys, command, option):
+    code, out, err = run(capsys, *base(command, "--syntax", CFG, *option),
+                         "the skillful cat in a box in a skillful box eats the box")
+    assert code == 2
+    assert out == ""
+    assert f"argument {option[0]}: not read by {command}" in err
+
+
+def test_index_options_default_to_the_first_derivations(capsys):
+    sentence = "the cat eats a mouse"
+    for command, option in (("diagram", ("--index", "0")), ("normalize", ("--index", "0")),
+                            ("equal", ("--indices", "0", "1"))):
+        given = run(capsys, *base(command, "--syntax", CFG, *option), sentence)
+        assert run(capsys, *base(command, "--syntax", CFG), sentence) == given
+        assert given[0] == 0
+
+
 def test_equal_distinct_derivations(capsys):
     # an M t root and an M e root differ already at the boundary
     code, out, _ = run(capsys, *base("equal", "--indices", "0", "2",

@@ -1,4 +1,5 @@
 import collections
+import gc
 import importlib.util
 import traceback
 
@@ -706,6 +707,46 @@ def test_a_kept_error_holds_no_earlier_exception(english, solar, monkeypatch):
             raised.append(exc)
     assert kept and raised
     assert [exc for exc in kept + raised if exc.__context__ is not None] == []
+
+
+def test_evaluating_and_drawing_leave_no_reference_cycles(english, solar):
+    """A derivation's term, its compiled closure, its node memos and its
+    diagram summaries make no cycle, so they go when the list goes
+    without waiting for the cyclic collector."""
+    from effparse.diagrams import PlanarityError, from_derivation
+    reg = english.registry
+    tokens = ("a cat" + " in a box" * 3).split()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            for d in parse(tokens, english):
+                outcome(eval_term, derivation_term(reg, d), {}, solar, reg)
+                try:
+                    from_derivation(reg, d)
+                except PlanarityError:
+                    pass
+        gc.collect()
+        left = collections.Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == collections.Counter()
+
+
+def test_a_cold_parse_makes_each_distinct_mode_once(monkeypatch):
+    from effparse import combine
+    lex = load_language(DATA / "english.lang")  # a new registry: a cold mode cache
+    combine._mode.cache_clear()
+    made = []
+    make = Mode.__init__
+
+    def counted(self, *args, **kwargs):
+        make(self, *args, **kwargs)
+        made.append(self)
+    monkeypatch.setattr(Mode, "__init__", counted)
+    parse_forest(("a cat" + " in a box" * 6).split(), lex, seq_cap=64)
+    assert len(made) == len(set(made)) > 1
 
 
 def test_every_mode_kind_roundtrips():

@@ -1,7 +1,13 @@
+import gc
+import importlib.util
+import sys
+import weakref
+
 import pytest
 
+from effparse import diagrams
 from effparse.combine import parse, render_modes
-from effparse.diagrams import (Diagram, DiagramError, all_normal_forms,
+from effparse.diagrams import (Diagram, DiagramError, PlanarityError, all_normal_forms,
                                applicable_reductions, cell_menu, diagram_to_dot,
                                diagram_to_sexpr, diagrams_equal,
                                enumerate_diagrams, eq_normalize, eta_adj_cell,
@@ -11,6 +17,8 @@ from effparse.diagrams import (Diagram, DiagramError, all_normal_forms,
 from effparse.typesys import Base, Eff
 
 from .conftest import ROOT, entry
+from .diagram_reference import reference_diagram
+from .test_cli_matrix import SENTENCES
 
 e, t = Base("e"), Base("t")
 
@@ -54,6 +62,77 @@ def test_tree_eats_diagram_routes_without_cells(english):
     dg = from_derivation(english.registry, pick(derivs, "M D t", "ML_M MR_D <"))
     assert dg.inputs == ("M", "D")
     assert dg.nodes == ()
+
+
+def _corpus_round():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module.corpus_round
+
+
+def _derivation_lists(english, syntax):
+    """Freshly parsed derivation lists: the CLI-matrix sentences with and
+    without the syntax file, pruned and not, then corpus seed 1, rounds
+    0-4, as the benchmark parses them."""
+    for sentence in SENTENCES:
+        for with_syntax in (None, syntax):
+            for pruned in (True, False):
+                yield parse(sentence.split(), english, syntax=with_syntax,
+                            prune_seqs=pruned)
+    corpus_round = _corpus_round()
+    for r in range(5):
+        for s in corpus_round(1, r):
+            yield parse(list(s.tokens), english, syntax=syntax)
+
+
+def _drawn(draw, d):
+    """The diagram ``draw`` gives ``d``, or the message of its planarity
+    error."""
+    try:
+        return draw(d)
+    except PlanarityError as exc:
+        return str(exc)
+
+
+def test_summaries_draw_the_reference_diagrams(english, syntax):
+    """The summary builder draws what the reference builder draws, from
+    cold caches in one order and from warm ones in the other."""
+    reg = english.registry
+    diagrams._compose.cache_clear()
+    diagrams._leaf.cache_clear()
+    drawn, errors = 0, 0
+    for forward in (True, False):
+        lists = list(_derivation_lists(english, syntax))
+        for derivs in lists if forward else lists[::-1]:
+            for d in derivs if forward else derivs[::-1]:
+                got = _drawn(lambda d: from_derivation(reg, d), d)
+                assert got == _drawn(reference_diagram, d)
+                drawn += 1
+                errors += isinstance(got, str)
+    assert drawn > 2 * 2000 and errors > 2 * 100
+
+
+def test_a_kept_planarity_error_is_raised_afresh_and_pins_nothing(english, syntax):
+    derivs = parse("the skillful cat in a box in a skillful box eats the box".split(),
+                   english, syntax=syntax)
+    root = derivs[20]
+    assert render_modes(root.modes) == "ML_D ML_D A_M <"
+    raised = []
+    for _ in range(2):
+        with pytest.raises(PlanarityError) as info:
+            from_derivation(english.registry, root)
+        raised.append(info.value)
+    assert [str(exc) for exc in raised] == [
+        "mode ap must merge adjacent strings; derivation is not planar"] * 2
+    assert raised[0] is not raised[1]
+    # the error kept for the next draw holds no frame that holds the tree
+    alive = weakref.ref(root)
+    del derivs, root, raised, info
+    gc.collect()
+    assert alive() is None
 
 
 # -- validate -----------------------------------------------------------------
