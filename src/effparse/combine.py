@@ -11,13 +11,17 @@ adjacent adjoint pair).  Sequences are stored outermost-first.
 denotation as a combinator over values and its diagram cell; enumeration,
 replay, evaluation and diagram construction all read it.  A branch's value
 is its modes' combinators composed and applied to its children's values;
-no mode has a λ-term in the engine.
+no mode has a λ-term in the engine.  The composed combinator of each mode
+sequence is built once per registry, and an ML/MR wrapper resolves its
+carrier's ``fmap`` when it is built.
 
-Parsing is CKY over a packed chart keyed by (category, type), seeded with
-each lexical entry over every span its tokens match; an optional
-syntactic CFG is intersected with the type grammar by the product
-construction.  Unpacking a packed forest is capped and deterministic, and
-reaches only the root items whose derivations can make the cut.
+Parsing is CKY over a packed chart, seeded with each lexical entry over
+every span its tokens match; each cell keys its items by category and
+type, where every type is interned once per parse, so the key holds the
+type's identity.  An optional syntactic CFG is intersected with the type
+grammar by the product construction.  Unpacking a packed forest is capped
+and deterministic, and reaches only the root items whose derivations can
+make the cut.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from . import terms as T
-from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, ap, apply_value, counit,
-                          eta, eval_term, fmap_apply, join, lower, upsilon)
+from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, _carrier, ap, apply_value,
+                          counit, eta, eval_term, fmap_apply, join, lower, upsilon)
 from .lexicon import LanguageParseError, LexEntry, Lexicon, load_file, load_forms
 from .record import Record, cached_hash
-from .typesys import Arrow, Base, Eff, Registry, Ty, deep_effect_count
-from .values import B, Fn
+from .typesys import Arrow, Base, Eff, Registry, Ty, TypeSysError, deep_effect_count
+from .values import FALSE, TRUE, B, Fn
 
 
 class ModeError(Exception):
@@ -198,7 +202,11 @@ def _cancel(reg, ty):
 
 
 def _holds(f, x) -> bool:
-    return _as_bool(apply_value(f, x))
+    """Is ``f x`` true?  An ``Fn`` is run and a ``B`` read directly;
+    anything else goes through :func:`apply_value` and :func:`_as_bool`,
+    which raise their errors."""
+    v = f.run(x) if isinstance(f, Fn) else apply_value(f, x)
+    return v.value if isinstance(v, B) else _as_bool(v)
 
 
 def _wrapper(on_left, through):
@@ -217,9 +225,31 @@ def _wrapper(on_left, through):
     return denote
 
 
-def _mapped(reg, f, v, go, label):
-    """ML/MR: map the inner combination over the child's effect."""
-    return fmap_apply(reg, f, Fn(go, label=label), v)
+def _mapped(on_left):
+    """ML/MR: map the inner combination over the left (``on_left``) or
+    the right child's effect.  The functor's capability and its carrier's
+    ``fmap`` are resolved when the combinator is built, and a child value
+    of the carrier's class goes straight to that ``fmap``.  Anything else,
+    and every value where the registry or the carrier lacks what is
+    needed, goes through :func:`fmap_apply`, which raises the error it
+    always has when the combinator is applied."""
+    def denote(m, reg):
+        f = m.functor
+        try:
+            reg.require_cap(f, "functor")
+            carrier = _carrier(f, "fmap")
+            cls, fmap = carrier.cls, carrier.fmap
+        except TypeSysError:
+            cls, fmap = (), None  # no classes: every value takes fmap_apply
+
+        def mapped(go, v):
+            return fmap(go, v) if isinstance(v, cls) else fmap_apply(reg, f, go, v)
+        if on_left:
+            return lambda inner: lambda x, y: mapped(
+                Fn(lambda a: inner(a, y), label="\\_a"), x)
+        return lambda inner: lambda x, y: mapped(
+            Fn(lambda b: inner(x, b), label="\\_b"), y)
+    return denote
 
 
 def _fed_unit(reg, f, phi, go, label):
@@ -279,12 +309,12 @@ MODE_RULES = {
     "bwd": _Rule("base", None, _bwd, lambda m, reg: lambda x, phi: apply_value(phi, x)),
     # the right predicate runs only where the left one leaves the result open
     "conj": _Rule("base", None, _pointwise("conj"), lambda m, reg: lambda p, q: Fn(
-        lambda x: B(_holds(p, x) and _holds(q, x)), label="\\_x")),
+        lambda x: TRUE if _holds(p, x) and _holds(q, x) else FALSE, label="\\_x")),
     "disj": _Rule("base", None, _pointwise("disj"), lambda m, reg: lambda p, q: Fn(
-        lambda x: B(_holds(p, x) or _holds(q, x)), label="\\_x")),
-    "ml": _Rule("wrapper", "functor", _on_left("ml", _strip), _wrapper(True, _mapped),
+        lambda x: TRUE if _holds(p, x) or _holds(q, x) else FALSE, label="\\_x")),
+    "ml": _Rule("wrapper", "functor", _on_left("ml", _strip), _mapped(True),
                 rewrap=True, takes=(1, 0)),
-    "mr": _Rule("wrapper", "functor", _on_right("mr", _strip), _wrapper(False, _mapped),
+    "mr": _Rule("wrapper", "functor", _on_right("mr", _strip), _mapped(False),
                 rewrap=True, takes=(0, 1)),
     "a": _Rule("wrapper", "functor", _merge, _ap_both,
                rewrap=True, takes=(1, 1), cell="ap"),
@@ -612,15 +642,25 @@ def branch_value(d: Branch, reg: Registry, child_outcome):
     """The value of ``d`` given ``child_outcome(child)``, a child's
     :func:`outcome`.  Both children are taken, left then right, and the
     first failure in call-by-value order is raised: the left child's, the
-    right child's, then the combination's.  The combinators of
-    :data:`MODE_RULES` are composed from the innermost mode out and the
-    result is applied to the two values; no term is evaluated."""
+    right child's, then the combination's.  The combinator of the
+    branch's modes, built once per mode sequence and registry (see
+    :func:`_combinator`), is applied to the two values; no term is
+    evaluated."""
     left, right = child_outcome(d.left), child_outcome(d.right)
-    *outer, base = d.modes
-    fn = MODE_RULES[base.kind].denote(base, reg)
-    for m in reversed(outer):
-        fn = MODE_RULES[m.kind].denote(m, reg)(fn)
-    return fn(value_of(left), value_of(right))
+    return _combinator(d.modes, reg)(value_of(left), value_of(right))
+
+
+@lru_cache(maxsize=1 << 12)
+def _combinator(modes: tuple, reg: Registry):
+    """The function ``(left, right) -> value`` of the mode sequence m1
+    ... mk under ``reg``: the combinators of :data:`MODE_RULES` composed
+    from the innermost mode out, ``m1(... mk-1(mk))``.  It is built once
+    per sequence and registry, around the combinator of ``m2 ... mk``, so
+    sequences with the same inner sequence share its combinator.
+    Building it raises nothing; every check runs when it is applied."""
+    m = modes[0]
+    denote = MODE_RULES[m.kind].denote(m, reg)
+    return denote if len(modes) == 1 else denote(_combinator(modes[1:], reg))
 
 
 def _compile_node(t: NodeTerm):
@@ -753,6 +793,11 @@ class _Item(Record, frozen=False):
 
 
 class Forest(Record, frozen=False):
+    """A packed chart over ``n`` tokens: ``chart[(i, j)]`` is the cell of
+    span ``(i, j)``, which maps ``(category, id(type))`` to its
+    :class:`_Item`.  Each item keeps its type, so the ids stay valid as
+    long as the chart."""
+
     n: int
     chart: dict
 
@@ -833,6 +878,12 @@ def _unpack(item: _Item, limit: int, memo: dict, texts: dict | None = None):
 
 def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
                  prune_seqs: bool = True, seq_cap: int | None = None) -> Forest:
+    """The packed CKY chart of ``tokens``.  Every type, seeded or
+    combined, is interned once per parse, so a cell keys its items by
+    ``(category, id(type))`` and no cell lookup hashes or compares a deep
+    type; items enter each cell in the same order as under structural
+    keys, so derivation order is unchanged.  ``seq_cap`` caps each group
+    of mode sequences (see :func:`modes_by_type`)."""
     if seq_cap is not None and seq_cap < 1:
         raise ValueError(f"seq_cap must be at least 1, got {seq_cap}")
     reg = lex.registry
@@ -840,12 +891,14 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
     folded = tuple(t.casefold() for t in tokens)
     chart: dict = {(i, j): {} for j in range(1, n + 1) for i in range(j)}
 
-    def add_item(i, j, cat, ty, source):
-        cell = chart[(i, j)]
-        it = cell.get((cat, ty))
+    # one object per type; item types stay alive in the chart, so their
+    # ids are stable keys
+    types: dict = {}
+
+    def add_item(cell, span, cat, ty, source):
+        it = cell.get((cat, id(ty)))
         if it is None:
-            it = _Item(span=(i, j), cat=cat, ty=ty)
-            cell[(cat, ty)] = it
+            it = cell[(cat, id(ty))] = _Item(span, cat, ty)
         it.sources.append(source)
 
     # each entry is seeded over every span its tokens match, so each leaf
@@ -855,40 +908,40 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
         k = len(e.tokens)
         for i in range(n - k + 1):
             if folded[i:i + k] == e.tokens:
+                ty = types.setdefault(e.ty, e.ty)
                 for cat in syntax.leaf_categories(e.category) if syntax else (e.category,):
-                    add_item(i, i + k, cat, e.ty, e)
+                    add_item(chart[(i, i + k)], (i, i + k), cat, ty, e)
                 covered[i:i + k] = [True] * k
     if not all(covered):
         p = covered.index(False)
         raise UnknownTokenError(tokens[p], p)
 
-    # one object per result type: equal types are then identical, and chart
-    # lookups never compare deep types structurally
-    types: dict = {}
-    # item types stay alive in the chart, so their ids are stable keys
     combos_of: dict = {}
     for span in range(2, n + 1):
         for i in range(n - span + 1):
             j = i + span
+            cell = chart[(i, j)]
             for k in range(i + 1, j):
                 right_items = chart[(k, j)].items()
-                for (lcat, lty), litem in chart[(i, k)].items():
-                    for (rcat, rty), ritem in right_items:
+                for (lcat, lid), litem in chart[(i, k)].items():
+                    for (rcat, rid), ritem in right_items:
                         targets = ((None,) if syntax is None
                                    else syntax.binary.get((lcat, rcat), ()))
                         if not targets:
                             continue
-                        pair = (id(lty), id(rty))
-                        combos = combos_of.get(pair)
+                        combos = combos_of.get((lid, rid))
                         if combos is None:
-                            found = modes_by_type(reg, lty, rty, pruned=prune_seqs,
-                                                  seq_cap=seq_cap)
-                            combos = combos_of[pair] = [
+                            found = modes_by_type(reg, litem.ty, ritem.ty,
+                                                  pruned=prune_seqs, seq_cap=seq_cap)
+                            combos = combos_of[(lid, rid)] = [
                                 (types.setdefault(ty, ty), seqs) for ty, seqs in found.items()]
                         for ty, seqs in combos:
                             src = (seqs, litem, ritem)
-                            for cat in targets:
-                                add_item(i, j, cat, ty, src)
+                            for cat in targets:  # add_item, inlined in the hot loop
+                                it = cell.get((cat, id(ty)))
+                                if it is None:
+                                    it = cell[(cat, id(ty))] = _Item((i, j), cat, ty)
+                                it.sources.append(src)
     return Forest(n=n, chart=chart)
 
 

@@ -11,13 +11,15 @@ the term is evaluated, not when it is compiled.  ``combine`` adds the rule
 for derivation nodes: a branch's term evaluates through a memo kept on the
 branch, so a subtree shared by many derivations of one list is evaluated
 once, and the branch's modes combine its children's values through the
-functor operations defined here, with no term of their own.  The memo keeps the branch's outcome, its value or the error its
-evaluation raised, and drops it after its last use.  ``EVAL_ERRORS``
-lists the errors evaluation raises because of the language or model it
-runs on; they are kept without their tracebacks and printed as
-``<error: ...>``, and any other exception is a fault in the program and
-propagates.  Every state transformer built here checks the outcomes of
-each run once, inside the ``StateV`` memo.
+functor operations defined here, with no term of their own.  The memo
+keeps the branch's outcome, its value or the error its evaluation
+raised, and drops it after its last use.  ``EVAL_ERRORS`` lists the
+errors evaluation raises because of the language or model it runs on;
+they are kept without their tracebacks and printed as ``<error: ...>``,
+and any other exception is a fault in the program and propagates.  Every
+state transformer built here is one closure that looks a state up in its
+memo and, on a miss, runs, checks the outcomes and stores them, so each
+stored run is checked once and a run that fails stores nothing.
 
 Evaluation is deterministic and left-to-right; quantifiers and set
 builders range over the model's entities; predicates read the model's
@@ -38,8 +40,8 @@ from .model import Model, ModelError
 from .record import Record
 from .typesys import (Arrow, CapabilityError, Eff, NatDef, Prod, Registry,
                       TypeSysError, UnknownEffectError)
-from .values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
-                     SetV, StateV, ValueError_, render, values_equal)
+from .values import (ABSENT, FALSE, TRUE, B, ContV, E, Fn, MaybeV, PairV, ReaderV,
+                     SeqV, SetV, StateV, ValueError_, render, values_equal)
 
 
 class EvalError(Exception):
@@ -155,11 +157,14 @@ def _const(t):
 
 
 def _pred(t):
-    name, args = t.name, tuple(_compiled(a) for a in t.args)
+    name, args, arity = t.name, tuple(_compiled(a) for a in t.args), len(t.args)
 
     def run(env, model, reg):
-        ents = tuple(_as_entity(a(env, model, reg)) for a in args)
-        return B(ents in model.extension(name, len(ents)))
+        ents = []
+        for a in args:
+            v = a(env, model, reg)
+            ents.append(v.name if isinstance(v, E) else _as_entity(v))
+        return TRUE if tuple(ents) in model.extension(name, arity) else FALSE
     return run
 
 
@@ -188,8 +193,8 @@ def _connective(both: bool):
 
         def run(env, model, reg):
             if bool(_as_bool(left(env, model, reg))) is both:
-                return B(_as_bool(right(env, model, reg)))
-            return B(not both)
+                return TRUE if _as_bool(right(env, model, reg)) else FALSE
+            return FALSE if both else TRUE
         return run
     return rule
 
@@ -204,8 +209,8 @@ def _quantifier(over):
     """Forall (``all``) or Exists (``any``) over the model's entities."""
     def rule(t):
         var, body = t.var, _compiled(t.body)
-        return lambda env, model, reg: B(over(
-            _as_bool(body({**env, var: E(e)}, model, reg)) for e in model.entities))
+        return lambda env, model, reg: TRUE if over(
+            _as_bool(body({**env, var: E(e)}, model, reg)) for e in model.entities) else FALSE
     return rule
 
 
@@ -254,7 +259,7 @@ COMPILE = {
     T.Pred: _pred,
     T.Const: _const,
     T.BoolLit: _bool_lit,
-    T.Not: _on("arg", lambda t, v, model, reg: B(not _as_bool(v))),
+    T.Not: _on("arg", lambda t, v, model, reg: FALSE if _as_bool(v) else TRUE),
     T.And: _connective(True),
     T.Or: _connective(False),
     T.Eq: _on2("left", "right",
@@ -299,17 +304,24 @@ def _run_state(v, s):
 
 
 def _state(run):
-    """A ``StateV`` whose runs check their outcomes.  The check runs
-    inside the value's memo, so each stored run is checked once."""
+    """The ``StateV`` of ``run``, whose one closure memoises each run by
+    its state: it runs ``run``, checks the outcomes and stores them, so
+    each stored run is checked once.  A run that raises or fails the
+    check stores nothing."""
+    memo = {}
+
     def checked(s):
-        out = run(s)
-        if not isinstance(out, SetV):
-            raise ShapeError("a state carrier must yield a set of outcomes")
-        for pr in out.elems:
-            if not isinstance(pr, PairV) or not isinstance(pr.right, SeqV):
-                raise ShapeError("state outcomes must be (value, state) pairs")
+        out = memo.get(s)
+        if out is None:
+            out = run(s)
+            if not isinstance(out, SetV):
+                raise ShapeError("a state carrier must yield a set of outcomes")
+            for pr in out.elems:
+                if not isinstance(pr, PairV) or not isinstance(pr.right, SeqV):
+                    raise ShapeError("state outcomes must be (value, state) pairs")
+            memo[s] = out
         return out
-    return StateV(checked)
+    return StateV.memoised(checked)
 
 
 class Carrier(Record):
@@ -343,9 +355,15 @@ def _join_writer(outer):
 def _fmap_state(fn, st):
     # writes pass through unmapped: mapping them too would break the
     # monad unit law on the full carrier
+    run_st = st.run
+    if isinstance(fn, Fn):
+        f = fn.run
+    else:
+        def f(v):
+            return apply_value(fn, v)
+
     def run(s):
-        return SetV(PairV(apply_value(fn, pr.left), pr.right)
-                    for pr in _run_state(st, s).elems)
+        return SetV([PairV(f(pr.left), pr.right) for pr in run_st(s).elems])
     return _state(run)
 
 
@@ -373,7 +391,7 @@ CARRIERS = {
                  literal=lambda reg, a: Arrow(reg.base_type("g"), a),
                  coerce=lambda fn: ReaderV(fn.run)),
     # writer with (t, and, true)
-    "W": Carrier(PairV, fmap=_fmap_pair, eta=lambda v: PairV(v, B(True)),
+    "W": Carrier(PairV, fmap=_fmap_pair, eta=lambda v: PairV(v, TRUE),
                  join=_join_writer,
                  literal=lambda reg, a: Prod(a, reg.base_type("t"))),
     # finite nondeterminism

@@ -12,6 +12,8 @@ makes value equality decidable at desk scale, which the law suites rely on.
 A state transformer runs once per distinct state: each ``StateV`` memoises
 its runs, keyed by the state, for as long as the value lives, so values
 that several derivations share do not repeat their runs when forced.
+Truth values are immutable, so code that makes them at a high rate hands
+out :data:`TRUE` and :data:`FALSE` instead of allocating a ``B`` each time.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ class B(Value):
 
     def __init__(self, value):
         object.__setattr__(self, "value", value)
+
+
+TRUE, FALSE = B(True), B(False)
 
 
 class E(Value):
@@ -156,20 +161,31 @@ class StateV(Value, eq=False):
     """A state transformer: ``run`` maps a state ``SeqV`` to a ``SetV`` of
     ``PairV(value, state)`` outcomes.
 
-    ``run`` is memoised: the constructor wraps the given function, so each
-    ``StateV`` runs it once per distinct state, keyed by the state's
-    structural equality and hash, and returns the same outcome set at
-    every later call on an equal state.  That is sound because a run is a
-    pure function of its state under the model and registry the value was
-    built with, and outcomes are immutable.  A run that raises stores
-    nothing.  The memo is a dict in the wrapper's closure, which holds the
-    function and not the ``StateV``, so it adds no reference cycle and is
-    freed with the value."""
+    ``run`` is memoised: each ``StateV`` runs its function once per
+    distinct state, keyed by the state's structural equality and hash, and
+    returns the same outcome set at every later call on an equal state.
+    That is sound because a run is a pure function of its state under the
+    model and registry the value was built with, and outcomes are
+    immutable.  A run that raises stores nothing.  The constructor wraps
+    the given function in a memo; :meth:`memoised` takes a function that
+    already keeps its own, as the state transformers of
+    :mod:`effparse.lambda_eval` do, which memoise, run and check their
+    outcomes in one closure.  Either memo is a dict in a closure that
+    holds the function and not the ``StateV``, so it adds no reference
+    cycle and is freed with the value."""
 
     run: object  # SeqV -> SetV of PairV(Value, SeqV)
 
     def __init__(self, run):
         object.__setattr__(self, "run", _memoised(run))
+
+    @classmethod
+    def memoised(cls, run):
+        """The ``StateV`` of ``run``, used as given: ``run`` must memoise
+        its own runs."""
+        st = cls.__new__(cls)
+        object.__setattr__(st, "run", run)
+        return st
 
 
 def _memoised(fn):

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from effparse import terms as T
 from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
-                              UnknownTokenError, _unpack, branch_value,
+                              UnknownTokenError, _combinator, _unpack, branch_value,
                               derivation_term, enumerate_modes, mode_count,
                               outcome, parse, parse_forest,
                               parse_mode, parse_modes, prune, render_modes,
@@ -18,7 +18,8 @@ from effparse.lambda_eval import EVAL_ERRORS, EvalError, eval_term, join
 from effparse import sexpr
 from effparse.lexicon import load_language, load_language_text
 from effparse.model import Model, ModelError
-from effparse.typesys import Arrow, Base, Eff
+from effparse.typesys import (Arrow, Base, CapabilityError, Eff, FunctorDef, Registry,
+                               UnknownEffectError)
 from effparse.values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV,
                              SetV, StateV, render as render_value, values_equal)
 
@@ -210,6 +211,7 @@ MODE_CASES = [
     ("C_P:G >", Fn(lambda x: PairV(ReaderV(lambda g: B(g.items[0] == x)), SeqV((E("a"),)))),
      E("a"), False),
     ("C_P:G >", Fn(lambda x: x), E("a"), True),  # not a P-carrier
+    ("ML_D <", ReaderV(lambda g: E("a")), _RED, True),  # not a D-carrier
 ]
 
 
@@ -225,22 +227,56 @@ def _forced(make, force):
                          ids=[f"{c[0]}-{n}" for n, c in enumerate(MODE_CASES)])
 def test_each_mode_combinator_evaluates_like_its_term(english, law_model, modes, left,
                                                       right, fails):
-    """``branch_value`` composes the combinators of ``MODE_RULES``; the
-    reference is the λ-term of ``tests/mode_terms.py`` applied to the same
-    values.  Both give equal forced data, or the same error."""
+    """``branch_value`` applies the combinators of ``MODE_RULES``
+    composed, built once per sequence and registry; the reference is the
+    λ-term of ``tests/mode_terms.py`` applied to the same values.  Both
+    give equal forced data, or the same error, at every application."""
     reg, force = english.registry, _benchmark_forcer(law_model)
     seq = parse_modes(modes)
     values = {"l": left, "r": right}
-    got = _forced(lambda: branch_value(Branch(None, seq, "l", "r"), reg, values.get), force)
     term = T.App(T.App(mode_sequence_term(seq), T.Var("l")), T.Var("r"))
     want = _forced(lambda: eval_term(term, values, law_model, reg), force)
-    assert got == want
+    for _ in range(2):
+        got = _forced(lambda: branch_value(Branch(None, seq, "l", "r"), reg, values.get),
+                      force)
+        assert got == want
     assert got[0] is fails
+    assert _combinator(seq, reg) is _combinator(parse_modes(modes), reg)
 
 
 def test_mode_cases_cover_every_mode_kind():
     kinds = {m.kind for c in MODE_CASES for m in parse_modes(c[0])}
     assert kinds == set(MODE_RULES)
+
+
+def _registry(**caps):
+    """A registry of the named functors, each with the given capabilities."""
+    reg = Registry()
+    reg.add_base_type("e")
+    reg.add_base_type("t")
+    for f, fcaps in caps.items():
+        reg.add_functor(FunctorDef(id=f, capabilities=frozenset(fcaps)))
+    return reg
+
+
+@pytest.mark.parametrize("modes, caps, error, message", [
+    ("ML_S <", {"S": ()}, CapabilityError, "functor S lacks the functor capability"),
+    ("MR_S >", {}, UnknownEffectError, "unknown effect functor S"),
+    ("ML_X <", {"X": ("functor",)}, UnknownEffectError, "functor X has no runtime carrier"),
+])
+def test_a_missing_capability_or_carrier_raises_when_the_combinator_is_applied(
+        modes, caps, error, message):
+    reg, seq = _registry(**caps), parse_modes(modes)
+    fn = _combinator(seq, reg)  # building raises nothing
+    values = {"l": SetV([E("a")]), "r": SetV([_RED]), "bad": EvalError("a child fails")}
+    with pytest.raises(error, match=f"^{message}$"):
+        fn(values["l"], values["r"])
+    with pytest.raises(error, match=f"^{message}$"):
+        branch_value(Branch(None, seq, "l", "r"), reg, values.get)
+    # the children's errors come first, in call-by-value order
+    for left, right in (("bad", "r"), ("bad", "bad"), ("l", "bad")):
+        with pytest.raises(EvalError, match="^a child fails$"):
+            branch_value(Branch(None, seq, left, right), reg, values.get)
 
 
 # -- parse ---------------------------------------------------------------------
@@ -427,6 +463,48 @@ def test_chart_cell_count_closed_form(english):
     forest = parse_forest("a cat in a box".split(), english)
     n = 5
     assert set(forest.chart) == {(i, j) for j in range(1, n + 1) for i in range(j)}
+
+
+def _no_cell_holds_equal_items(forest):
+    for cell in forest.chart.values():
+        items = [(it.cat, it.ty) for it in cell.values()]
+        assert len(set(items)) == len(items)
+
+
+# packed sources of "a cat (in a box)^k", without the syntax file
+ATTACHMENT_PACKED_NODES = {1: 21, 2: 122, 3: 487, 4: 1527, 5: 4011, 6: 9228}
+
+
+@pytest.mark.parametrize("k", sorted(ATTACHMENT_PACKED_NODES))
+def test_attachment_chart_sizes(english, k):
+    forest = parse_forest(("a cat" + " in a box" * k).split(), english, seq_cap=64)
+    assert forest.packed_node_count() == ATTACHMENT_PACKED_NODES[k]
+    _no_cell_holds_equal_items(forest)
+
+
+def test_a_seeded_type_and_an_equal_combined_type_share_one_item():
+    lex = load_language_text("""
+(base-type e) (base-type t)
+(word "jupiter" :type e :term (const j))
+(word "sleeps" :type (-> e t) :term (lam x (pred sleep x)))
+(word "sleeps" :type (-> e t) :term (lam x (pred rest x)))
+(word "jupiter sleeps" :type t :term (pred sleep (const j)))
+""")
+    forest = parse_forest("jupiter sleeps".split(), lex)
+    _no_cell_holds_equal_items(forest)
+    [verb] = forest.chart[(1, 2)].values()
+    assert len(verb.sources) == 2
+    [sentence] = forest.root_items()
+    assert sentence.sources[0] is entry(lex, "jupiter sleeps")
+    assert len(sentence.sources) == 2
+
+
+@pytest.mark.parametrize("sentence", SENTENCES)
+def test_no_cell_holds_two_items_of_one_category_and_type(english, syntax, sentence):
+    for grammar in (None, syntax):
+        for pruned in (True, False):
+            _no_cell_holds_equal_items(
+                parse_forest(sentence.split(), english, syntax=grammar, prune_seqs=pruned))
 
 
 # -- derivation terms ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Lint gates over the package source: every module uses each name it
 imports at top level, every definition is used by some code that runs,
-and no class is made by generating code."""
+no class is made by generating code, and no module imports more than
+its package and a few light modules."""
 
 import ast
 import pathlib
@@ -160,3 +161,38 @@ def test_no_module_runs_source_text(path):
         "exec", "eval", "compile"}
     assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
                 and "dataclasses" in ([a.name for a in n.names] + [getattr(n, "module", "")])]
+
+
+# -- import work ---------------------------------------------------------------
+
+# the standard-library modules an engine module may import at top level:
+# each is loaded before the engine anyway or costs next to nothing
+LIGHT_IMPORTS = {"__future__", "functools", "typing", "operator", "itertools"}
+ALSO_LIGHT = {"cli.py": {"argparse", "sys"}}
+
+
+def heavy_imports(source: str, allowed=LIGHT_IMPORTS) -> list:
+    """The absolute modules that ``source`` imports at top level, other
+    than the ``allowed`` ones; a relative import is always allowed."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return sorted(set(found) - set(allowed))
+
+
+def test_a_heavy_import_is_found():
+    source = ("from __future__ import annotations\nimport os, typing\n"
+              "from . import terms\nfrom .values import B\nfrom json import dumps\n")
+    assert heavy_imports(source) == ["json", "os"]
+    assert heavy_imports(source, LIGHT_IMPORTS | {"os"}) == ["json"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_engine_modules_import_only_light_modules(path):
+    """Process start is most of what one command costs, so an engine
+    module imports only its own package and a few light modules."""
+    allowed = LIGHT_IMPORTS | ALSO_LIGHT.get(path.name, set())
+    assert heavy_imports(path.read_text(), allowed) == []

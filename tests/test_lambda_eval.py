@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import pathlib
 import subprocess
 import sys
@@ -13,8 +14,8 @@ from effparse import terms as T
 from effparse.combine import derivation_term, parse
 from effparse.lambda_eval import (EvalError, ShapeError, UnboundVariableError,
                                   adjunction_unit, ap, apply_nat, apply_value,
-                                  check_shape, counit, eta, eval_term, fmap_apply,
-                                  join, lower, run_handler, upsilon)
+                                  _state, check_shape, counit, eta, eval_term,
+                                  fmap_apply, join, lower, run_handler, upsilon)
 from effparse.lexicon import load_language_text
 from effparse.model import Model
 from effparse.typesys import NatDef, UnknownEffectError
@@ -279,6 +280,44 @@ def test_a_state_run_that_raises_runs_again():
         st.run(SeqV(()))
     assert st.run(SeqV(())) == SetV([PairV(B(True), SeqV(()))])
     assert len(calls) == 2
+
+
+def test_an_evaluated_state_runs_once_per_distinct_state():
+    calls = []
+
+    def run(s):
+        calls.append(s)
+        return SetV([PairV(E("a"), s)])
+    st = _state(run)
+    first = st.run(SeqV((E("a"),)))
+    assert st.run(SeqV((E("a"),))) is first  # equal, but another object
+    assert st.run(SeqV(())) == SetV([PairV(E("a"), SeqV(()))])
+    assert st.run(SeqV(())) is st.run(SeqV(()))
+    assert calls == [SeqV((E("a"),)), SeqV(())]
+
+
+@pytest.mark.parametrize("yields, message", [
+    (lambda s: PairV(E("a"), s), "a state carrier must yield a set of outcomes"),
+    (lambda s: SetV([PairV(E("a"), E("b"))]), "state outcomes must be (value, state) pairs"),
+    (lambda s: SetV([E("a")]), "state outcomes must be (value, state) pairs"),
+])
+def test_an_evaluated_state_run_that_fails_its_check_is_stored_nowhere(registry, yields,
+                                                                      message):
+    calls = []
+
+    def run(s):
+        calls.append(s)
+        return yields(s)
+    st = _state(run)
+    for n in (1, 2, 3):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            st.run(SeqV(()))
+        assert len(calls) == n
+    # a mapped state checks what it maps over at each run too
+    mapped = fmap_apply(registry, "D", ident(), st)
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        mapped.run(SeqV(()))
+    assert len(calls) == 4
 
 
 def test_a_state_memo_adds_no_reference_cycle():
