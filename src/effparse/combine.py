@@ -13,15 +13,15 @@ replay, evaluation and diagram construction all read it.  A branch's value
 is its modes' combinators composed and applied to its children's values;
 no mode has a λ-term in the engine.  The composed combinator of each mode
 sequence is built once per registry, and an ML/MR wrapper resolves its
-carrier's ``fmap`` when it is built.
+carrier's ``fmap`` when it is built.  Modes, like types, are interned (see
+:mod:`effparse.record`), so a mode sequence hashes and compares in C.
 
 Parsing is CKY over a packed chart, seeded with each lexical entry over
 every span its tokens match; each cell keys its items by category and
-type, where every type is interned once per parse, so the key holds the
-type's identity.  An optional syntactic CFG is intersected with the type
-grammar by the product construction.  Unpacking a packed forest is capped
-and deterministic, and reaches only the root items whose derivations can
-make the cut.
+type.  An optional syntactic CFG is intersected with the type grammar by
+the product construction.  Unpacking a packed forest is capped and
+deterministic, and reaches only the root items whose derivations can make
+the cut.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import terms as T
 from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, _carrier, ap, apply_value,
                           counit, eta, eval_term, fmap_apply, join, lower, upsilon)
 from .lexicon import LanguageParseError, LexEntry, Lexicon, load_file, load_forms
-from .record import Record, cached_hash
+from .record import Record
 from .typesys import Arrow, Base, Eff, Registry, Ty, TypeSysError, deep_effect_count
 from .values import FALSE, TRUE, B, Fn
 
@@ -53,43 +53,33 @@ _RENDER_BASE = {v: k for k, v in _BASE_RENDER.items()}
 _T = Base("t")
 
 
-class Mode(Record):
+class Mode(Record, interned=True):
     """One mode: its kind and the functor or adjoint pair it is indexed
-    by.  ``rendered``, its text, is kept beside the fields, and its hash
-    is the text's, computed once: mode sequences are hashed on every step
-    of :func:`modes_by_type`.  Equality and the repr leave both out."""
+    by.  Modes are interned, so the typing rules of :data:`MODE_RULES`
+    and :func:`parse_mode` hand out one object per mode, made once; an
+    unknown kind raises :class:`ModeError` and makes nothing.
+    ``rendered``, its text, is kept beside the fields; the repr leaves it
+    out."""
 
     kind: str
     functor: str | None = None
     pair: tuple | None = None
 
-    def __init__(self, kind, functor=None, pair=None):
-        if kind not in MODE_RULES:
-            raise ModeError(f"unknown mode kind {kind}")
-        text = _BASE_RENDER.get(kind) or kind.upper()
-        if pair is not None:
-            text += f"_{pair[0]}:{pair[1]}"
-        elif functor is not None:
-            text += f"_{functor}"
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "functor", functor)
-        object.__setattr__(self, "pair", pair)
+    def __post_init__(self):
+        if self.kind not in MODE_RULES:
+            raise ModeError(f"unknown mode kind {self.kind}")
+        text = _BASE_RENDER.get(self.kind) or self.kind.upper()
+        if self.pair is not None:
+            text += f"_{self.pair[0]}:{self.pair[1]}"
+        elif self.functor is not None:
+            text += f"_{self.functor}"
         object.__setattr__(self, "rendered", text)
-
-    __hash__ = cached_hash(lambda m: hash(m.rendered))
 
     def render(self) -> str:
         return self.rendered
 
     def __str__(self) -> str:
         return self.rendered
-
-
-@lru_cache(maxsize=1 << 10)
-def _mode(kind, functor=None, pair=None) -> Mode:
-    """The one :class:`Mode` of these fields, which the typing rules of
-    :data:`MODE_RULES` hand out each time they apply."""
-    return Mode(kind, functor, pair)
 
 
 def parse_mode(text: str) -> Mode:
@@ -115,6 +105,12 @@ def render_modes(seq) -> str:
     return " ".join(m.render() for m in seq)
 
 
+# the text of a chart's mode sequence or type, rendered once while it stays
+# in the bounded cache keyed by the sequence or the (interned) type
+_modes_text = lru_cache(maxsize=1 << 10)(render_modes)
+_type_text = lru_cache(maxsize=1 << 10)(str)
+
+
 def parse_modes(text: str):
     return tuple(parse_mode(tok) for tok in text.split())
 
@@ -127,18 +123,18 @@ def _pure(ty: Ty) -> bool:
 
 def _fwd(reg, l, r):
     if isinstance(l, Arrow) and r == l.dom and _pure(l.dom):
-        return _mode("fwd"), l.cod
+        return Mode("fwd"), l.cod
 
 
 def _bwd(reg, l, r):
     if isinstance(r, Arrow) and l == r.dom and _pure(r.dom):
-        return _mode("bwd"), r.cod
+        return Mode("bwd"), r.cod
 
 
 def _pointwise(kind):
     def step(reg, l, r):
         if isinstance(l, Arrow) and l == r and _pure(l.dom) and l.cod == _T:
-            return _mode(kind), l
+            return Mode(kind), l
     return step
 
 
@@ -166,7 +162,7 @@ def _on_left(kind, side):
     def step(reg, l, r):
         hit = side(reg, l)
         if hit is not None:
-            return _mode(kind, hit[0]), (hit[1], r)
+            return Mode(kind, hit[0]), (hit[1], r)
     return step
 
 
@@ -174,31 +170,31 @@ def _on_right(kind, side):
     def step(reg, l, r):
         hit = side(reg, r)
         if hit is not None:
-            return _mode(kind, hit[0]), (l, hit[1])
+            return Mode(kind, hit[0]), (l, hit[1])
     return step
 
 
 def _merge(reg, l, r):
     if (isinstance(l, Eff) and isinstance(r, Eff) and l.functor == r.functor
             and reg.has_cap(l.functor, "applicative")):
-        return _mode("a", l.functor), (l.inner, r.inner)
+        return Mode("a", l.functor), (l.inner, r.inner)
 
 
 def _join(reg, ty):
     if (isinstance(ty, Eff) and isinstance(ty.inner, Eff)
             and ty.functor == ty.inner.functor and reg.has_cap(ty.functor, "monad")):
-        return _mode("j", ty.functor), ty.inner
+        return Mode("j", ty.functor), ty.inner
 
 
 def _lower(reg, ty):
-    if isinstance(ty, Eff) and ty.inner == _T and reg.lowering_for(ty.functor) is not None:
-        return _mode("dn"), ty.inner
+    if isinstance(ty, Eff) and ty.inner is _T and reg.lowering_for(ty.functor) is not None:
+        return Mode("dn"), ty.inner
 
 
 def _cancel(reg, ty):
     if (isinstance(ty, Eff) and isinstance(ty.inner, Eff)
             and reg.is_adjunction(ty.functor, ty.inner.functor)):
-        return _mode("c", None, (ty.functor, ty.inner.functor)), ty.inner.inner
+        return Mode("c", None, (ty.functor, ty.inner.functor)), ty.inner.inner
 
 
 def _holds(f, x) -> bool:
@@ -685,32 +681,21 @@ def _count_uses(roots) -> None:
                 stack += (d.left, d.right)
 
 
-def _text(texts: dict, obj, render) -> str:
-    """``render(obj)``, computed once per object: ``texts`` maps ``id(obj)``
-    to it, so ``obj`` must stay alive while ``texts`` is in use."""
-    text = texts.get(id(obj))
-    if text is None:
-        text = texts[id(obj)] = render(obj)
-    return text
-
-
-def derivation_key(d: Derivation, memo: dict | None = None, texts: dict | None = None):
+def derivation_key(d: Derivation, memo: dict | None = None):
     """Sort key of a derivation: type, mode string, then the left and right
     subtrees.  ``memo`` maps ``id(node)`` to its key, so a subtree shared by
-    many derivations is keyed once, and ``texts`` (see :func:`_text`) holds
-    the string of each type and mode sequence, so each is rendered once;
-    all of them must stay alive while the dicts are in use."""
+    many derivations is keyed once; the nodes must stay alive while it is
+    in use.  The text of each type and mode sequence comes from a cache
+    keyed by the type or sequence itself."""
     if memo is None:
         memo = {}
-    if texts is None:
-        texts = {}
     key = memo.get(id(d))
     if key is None:
         if isinstance(d, Leaf):
-            key = ("L", d.entry.surface, _text(texts, d.entry.ty, str))
+            key = ("L", d.entry.surface, _type_text(d.entry.ty))
         else:
-            key = ("B", _text(texts, d.ty, str), _text(texts, d.modes, render_modes),
-                   derivation_key(d.left, memo, texts), derivation_key(d.right, memo, texts))
+            key = ("B", _type_text(d.ty), _modes_text(d.modes),
+                   derivation_key(d.left, memo), derivation_key(d.right, memo))
         memo[id(d)] = key
     return key
 
@@ -789,14 +774,13 @@ class _Item(Record, frozen=False):
     @cached_property
     def key(self):
         """Sort key; span, category and type never change once made."""
-        return (self.span, "" if self.cat is None else str(self.cat), str(self.ty))
+        return (self.span, "" if self.cat is None else str(self.cat), _type_text(self.ty))
 
 
 class Forest(Record, frozen=False):
     """A packed chart over ``n`` tokens: ``chart[(i, j)]`` is the cell of
-    span ``(i, j)``, which maps ``(category, id(type))`` to its
-    :class:`_Item`.  Each item keeps its type, so the ids stay valid as
-    long as the chart."""
+    span ``(i, j)``, which maps ``(category, type)`` to its :class:`_Item`;
+    types are interned, so the key hashes and compares in C."""
 
     n: int
     chart: dict
@@ -817,44 +801,38 @@ class Forest(Record, frozen=False):
         ``limit`` branches; no later root can reach the list.  Each branch
         records how often evaluating the list in order uses its value
         (see :func:`_count_uses`)."""
-        # ids are stable keys: types and mode sequences stay alive in the
-        # chart, and nodes in ``out``
         memo: dict = {}
-        texts: dict = {}
         by_type: dict = {}
         for item in sorted(self.root_items(), key=lambda it: it.key):
-            by_type.setdefault(_text(texts, item.ty, str), []).append(item)
+            by_type.setdefault(_type_text(item.ty), []).append(item)
         out = []
         branches = 0
         for text in sorted(by_type):
             if branches >= limit:
                 break
             for item in by_type[text]:
-                found = _unpack(item, limit, memo, texts)
+                found = _unpack(item, limit, memo)
                 out.extend(found)
                 branches += sum(isinstance(d, Branch) for d in found)
         keys: dict = {}
-        out.sort(key=lambda d: derivation_key(d, keys, texts))
+        out.sort(key=lambda d: derivation_key(d, keys))
         derivs = tuple(out[:limit])
         _count_uses(derivs)
         return derivs
 
 
-def _unpack(item: _Item, limit: int, memo: dict, texts: dict | None = None):
+def _unpack(item: _Item, limit: int, memo: dict):
     """The item's first ``limit`` derivations in packed-source order.
-    ``memo`` maps ``id(item)`` to them and ``texts`` holds mode strings
-    (see :func:`_text`)."""
+    ``memo`` maps ``id(item)`` to them."""
     key = id(item)
     if key in memo:
         return memo[key]
-    if texts is None:
-        texts = {}
     memo[key] = []  # cycle guard; charts are acyclic but be safe
     out = []
     entries = sorted((s for s in item.sources if isinstance(s, LexEntry)),
                      key=lambda e: e.surface)
     bin_srcs = sorted((s for s in item.sources if not isinstance(s, LexEntry)),
-                      key=lambda s: (_text(texts, s[0][0], render_modes), s[1].key, s[2].key))
+                      key=lambda s: (_modes_text(s[0][0]), s[1].key, s[2].key))
     for entry in entries:
         out.append(Leaf(entry))
         if len(out) >= limit:
@@ -863,8 +841,8 @@ def _unpack(item: _Item, limit: int, memo: dict, texts: dict | None = None):
         if len(out) >= limit:
             break
         for seq in seqs:
-            for l in _unpack(left, limit, memo, texts):
-                for r in _unpack(right, limit, memo, texts):
+            for l in _unpack(left, limit, memo):
+                for r in _unpack(right, limit, memo):
                     out.append(Branch(item.ty, seq, l, r))
                     if len(out) >= limit:
                         break
@@ -878,12 +856,11 @@ def _unpack(item: _Item, limit: int, memo: dict, texts: dict | None = None):
 
 def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
                  prune_seqs: bool = True, seq_cap: int | None = None) -> Forest:
-    """The packed CKY chart of ``tokens``.  Every type, seeded or
-    combined, is interned once per parse, so a cell keys its items by
-    ``(category, id(type))`` and no cell lookup hashes or compares a deep
-    type; items enter each cell in the same order as under structural
-    keys, so derivation order is unchanged.  ``seq_cap`` caps each group
-    of mode sequences (see :func:`modes_by_type`)."""
+    """The packed CKY chart of ``tokens``.  A cell keys its items by
+    ``(category, type)``, and the mode sequences of each pair of child
+    types are looked up once per parse; types are interned, so neither
+    lookup hashes or compares a deep type.  ``seq_cap`` caps each group of
+    mode sequences (see :func:`modes_by_type`)."""
     if seq_cap is not None and seq_cap < 1:
         raise ValueError(f"seq_cap must be at least 1, got {seq_cap}")
     reg = lex.registry
@@ -891,14 +868,10 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
     folded = tuple(t.casefold() for t in tokens)
     chart: dict = {(i, j): {} for j in range(1, n + 1) for i in range(j)}
 
-    # one object per type; item types stay alive in the chart, so their
-    # ids are stable keys
-    types: dict = {}
-
     def add_item(cell, span, cat, ty, source):
-        it = cell.get((cat, id(ty)))
+        it = cell.get((cat, ty))
         if it is None:
-            it = cell[(cat, id(ty))] = _Item(span, cat, ty)
+            it = cell[(cat, ty)] = _Item(span, cat, ty)
         it.sources.append(source)
 
     # each entry is seeded over every span its tokens match, so each leaf
@@ -908,9 +881,8 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
         k = len(e.tokens)
         for i in range(n - k + 1):
             if folded[i:i + k] == e.tokens:
-                ty = types.setdefault(e.ty, e.ty)
                 for cat in syntax.leaf_categories(e.category) if syntax else (e.category,):
-                    add_item(chart[(i, i + k)], (i, i + k), cat, ty, e)
+                    add_item(chart[(i, i + k)], (i, i + k), cat, e.ty, e)
                 covered[i:i + k] = [True] * k
     if not all(covered):
         p = covered.index(False)
@@ -923,24 +895,22 @@ def parse_forest(tokens, lex: Lexicon, syntax: SyntaxCFG | None = None,
             cell = chart[(i, j)]
             for k in range(i + 1, j):
                 right_items = chart[(k, j)].items()
-                for (lcat, lid), litem in chart[(i, k)].items():
-                    for (rcat, rid), ritem in right_items:
+                for (lcat, lty), litem in chart[(i, k)].items():
+                    for (rcat, rty), ritem in right_items:
                         targets = ((None,) if syntax is None
                                    else syntax.binary.get((lcat, rcat), ()))
                         if not targets:
                             continue
-                        combos = combos_of.get((lid, rid))
+                        combos = combos_of.get((lty, rty))
                         if combos is None:
-                            found = modes_by_type(reg, litem.ty, ritem.ty,
-                                                  pruned=prune_seqs, seq_cap=seq_cap)
-                            combos = combos_of[(lid, rid)] = [
-                                (types.setdefault(ty, ty), seqs) for ty, seqs in found.items()]
+                            combos = combos_of[(lty, rty)] = modes_by_type(
+                                reg, lty, rty, pruned=prune_seqs, seq_cap=seq_cap).items()
                         for ty, seqs in combos:
                             src = (seqs, litem, ritem)
                             for cat in targets:  # add_item, inlined in the hot loop
-                                it = cell.get((cat, id(ty)))
+                                it = cell.get((cat, ty))
                                 if it is None:
-                                    it = cell[(cat, id(ty))] = _Item((i, j), cat, ty)
+                                    it = cell[(cat, ty)] = _Item((i, j), cat, ty)
                                 it.sources.append(src)
     return Forest(n=n, chart=chart)
 

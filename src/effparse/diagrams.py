@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import sexpr
 from .combine import MODE_RULES, Branch, Derivation, Leaf
-from .record import Record, cached_hash
+from .record import Record
 from .typesys import Registry, positive_effects
 
 
@@ -153,20 +153,20 @@ def first_violation(d: Diagram):
 
 # -- construction from derivations -----------------------------------------
 
-class _Summary(Record):
+class _Summary(Record, interned=True):
     """What a derivation node contributes to its ancestors' diagrams:
     ``cells``, with positions counted from the node's right edge, the
     ``bottom`` word of its leaves, the ``top`` word in physical order, and
     ``logical``, the top word's strings in the order of the node's type,
     as indices into ``top``.  Summaries are values: equal nodes have equal
-    summaries wherever they sit, and the hash is computed once."""
+    summaries wherever they sit.  They are interned (see
+    :mod:`effparse.record`), so equal summaries are one object and the
+    caches below key by it in C."""
 
     cells: tuple
     bottom: tuple
     top: tuple
     logical: tuple
-
-    __hash__ = cached_hash(lambda s: hash((s.cells, s.bottom, s.top, s.logical)))
 
 
 def from_derivation(reg: Registry, d: Derivation) -> Diagram:
@@ -180,11 +180,12 @@ def from_derivation(reg: Registry, d: Derivation) -> Diagram:
 
     The diagram is read off the root's :class:`_Summary`.  A leaf's
     summary depends on its type alone and a branch's on its modes and its
-    children's summaries, so both are memoised by value, and each branch
-    also keeps its own summary (``Branch._drawn``): derivations that share
-    a node draw it once.  A node that is not planar keeps its
-    ``PlanarityError``, and each use raises a fresh copy of it.  Every
-    diagram returned is checked.
+    children's summaries, so both are memoised by those arguments, which
+    are interned and hash by identity, and each branch also keeps its own
+    summary (``Branch._drawn``): derivations that share a node draw it
+    once, and nodes that summarise alike hold one summary.  A node that is
+    not planar keeps its ``PlanarityError``, and each use raises a fresh
+    copy of it.  Every diagram returned is checked.
     """
     drawn = _summary(d)
     if isinstance(drawn, PlanarityError):

@@ -1,16 +1,19 @@
 """Type language and effect-functor registry.
 
 Types are plain syntax trees: declared base symbols, arrows, products, and
-effect applications ``Eff(F, t)``.  A :class:`Registry` owns the declared
-base types, the effect functors with their capability flags, the natural
-transformations (including handlers), and the adjunction pairing.  Whether
-a type is well formed, whether a functor applies to a type, and what a
-functor can do are answered against a registry.
+effect applications ``Eff(F, t)``.  Each is interned (see
+:mod:`effparse.record`): there is one object per distinct type, however it
+is built, so type equality is identity and a type hashes in C.  A
+:class:`Registry` owns the declared base types, the effect functors with
+their capability flags, the natural transformations (including handlers),
+and the adjunction pairing.  Whether a type is well formed, whether a
+functor applies to a type, and what a functor can do are answered against
+a registry.
 """
 
 from __future__ import annotations
 
-from .record import Record, cached_hash
+from .record import Record
 
 EffectId = str
 
@@ -41,18 +44,14 @@ class RegistryError(TypeSysError):
     pass
 
 
-class Ty(Record):
-    """Abstract type node; concrete forms below.  Equality is structural,
-    and the hash is computed once, as deep types sit in hot dictionaries."""
-
-    __hash__ = cached_hash(lambda ty: hash(ty._hash_key()))
+class Ty(Record, interned=True):
+    """Abstract type node; concrete forms below.  Each form is interned, so
+    a type parsed from a language file and the equal type a typing step
+    builds are one object, and the chart and caches key by it directly."""
 
 
 class Base(Ty):
     name: str
-
-    def _hash_key(self):
-        return ("b", self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -61,9 +60,6 @@ class Base(Ty):
 class Arrow(Ty):
     dom: Ty
     cod: Ty
-
-    def _hash_key(self):
-        return ("a", self.dom, self.cod)
 
     def __str__(self) -> str:
         dom = f"({self.dom})" if isinstance(self.dom, Arrow) else str(self.dom)
@@ -74,9 +70,6 @@ class Prod(Ty):
     left: Ty
     right: Ty
 
-    def _hash_key(self):
-        return ("p", self.left, self.right)
-
     def __str__(self) -> str:
         return f"({self.left} * {self.right})"
 
@@ -85,19 +78,10 @@ class Eff(Ty):
     functor: EffectId
     inner: Ty
 
-    def _hash_key(self):
-        return ("e", self.functor, self.inner)
-
     def __str__(self) -> str:
         if isinstance(self.inner, (Arrow, Prod)):
             return f"{self.functor} ({self.inner})"
         return f"{self.functor} {self.inner}"
-
-
-# the record base gives each class a structural __hash__ over its fields;
-# put back the caching one (equality stays structural)
-for _cls in (Base, Arrow, Prod, Eff):
-    _cls.__hash__ = Ty.__hash__
 
 
 class FunctorDef(Record):
@@ -157,7 +141,7 @@ class Registry:
     and then only read.  The registry itself is not read-only: parsing
     fills ``_combo_cache``, where :func:`effparse.combine.modes_by_type`
     keeps the mode sequences of each pair of child types it meets, without
-    bound.
+    bound; its keys hold interned types, which hash by identity.
     """
 
     def __init__(self):

@@ -67,8 +67,9 @@ def test_a_parent_spread_beyond_the_bound_is_unresolved():
 
 def test_a_workload_summary_counts_operations_and_keeps_every_run():
     def run(ops, failed, correct=True):
-        return {"started": "12:00:00", "correct": correct, "attempted": 100,
-                "failed": failed, "metrics": {"ops_per_s": ops, "op_ms_p50": 1000 / ops}}
+        return {"started": "12:00:00", "interpreter_start_s": 0.01, "correct": correct,
+                "attempted": 100, "failed": failed,
+                "metrics": {"ops_per_s": ops, "op_ms_p50": 1000 / ops}}
     runs = {"parent": [run(20, 0), run(22, 0), run(21, 0)],
             "change": [run(30, 0), run(31, 1, correct=False), run(29, 0)]}
     s = bench_pairs.summarise_workload("ambiguity", 1, runs, END_TO_END)
@@ -80,3 +81,30 @@ def test_a_workload_summary_counts_operations_and_keeps_every_run():
     assert s["metrics"]["ops_per_s"]["change_better_pairs"] == 3
     assert s["metrics"]["op_ms_p50"]["change_better_pairs"] == 3
     assert s["runs"] is runs
+
+
+def test_a_workload_summary_reads_each_sides_bare_interpreter_start():
+    def run(start):
+        return {"started": "12:00:00", "interpreter_start_s": start, "correct": True,
+                "attempted": 10, "failed": 0, "metrics": {"ops_per_s": 5.0, "op_ms_p50": 200.0}}
+    runs = {"parent": [run(x) for x in (0.012, 0.010, 0.011, 0.013, 0.009)],
+            "change": [run(x) for x in (0.02, 0.03, 0.025, 0.021, 0.05)]}
+    s = bench_pairs.summarise_workload("corpus", 1, runs, END_TO_END)
+    assert s["interpreter_start_s"] == {
+        "parent": {"median": 0.011, "q1": 0.01, "q3": 0.012},
+        "change": {"median": 0.025, "q1": 0.021, "q3": 0.03}}
+    assert set(s["metrics"]) == {"ops_per_s", "op_ms_p50"}  # not an end-to-end metric
+
+
+def test_each_run_times_a_bare_interpreter_start_just_before_it(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((argv[1:], cwd))
+        stdout = '{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}\n'
+        return type("Done", (), {"stdout": stdout})()
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result = bench_pairs.run_once(tmp_path, "corpus", 1, 0.5)
+    assert calls == [(["-I", "-c", "pass"], tmp_path),
+                     (bench_pairs.command("corpus", 1, 0.5)[1:], tmp_path)]
+    assert result["interpreter_start_s"] >= 0 and result["attempted"] == 3

@@ -1,5 +1,6 @@
 import collections
 import gc
+import hashlib
 import importlib.util
 import traceback
 
@@ -16,7 +17,7 @@ from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               replay_modes, value_of)
 from effparse.lambda_eval import EVAL_ERRORS, EvalError, eval_term, join
 from effparse import sexpr
-from effparse.lexicon import load_language, load_language_text
+from effparse.lexicon import load_language, load_language_text, parse_type
 from effparse.model import Model, ModelError
 from effparse.typesys import (Arrow, Base, CapabilityError, Eff, FunctorDef, Registry,
                                UnknownEffectError)
@@ -471,15 +472,38 @@ def _no_cell_holds_equal_items(forest):
         assert len(set(items)) == len(items)
 
 
-# packed sources of "a cat (in a box)^k", without the syntax file
+# packed sources and items of "a cat (in a box)^k", without the syntax file
 ATTACHMENT_PACKED_NODES = {1: 21, 2: 122, 3: 487, 4: 1527, 5: 4011, 6: 9228}
+ATTACHMENT_ITEMS = {1: 16, 2: 51, 3: 117, 4: 223, 5: 378, 6: 591}
+# sha256 of each cell's (category, type text, source count) list, in
+# insertion order: pins which items each cell holds and in what order,
+# which fixes derivation order
+ATTACHMENT_CELL_DIGESTS = {
+    1: "2cd282d753182dba9fea8d7c6dbc6bc179b2f4e5e8081dceb681d574e092057d",
+    2: "b1736d9d6f2782655db16e9a485132b88c7a4791b8df0012e1e9ee0473eee289",
+    3: "37a966a0cfea70d8d0d14beb4de894dbbf77224496f53c50a0d5bf8d543e74ab",
+    4: "e145b8166517fcf36d6dff6ce156c9b49decf20b954870d81a91f4a05d657fec",
+    5: "d890617882aec310595d1f0d47ab71bec762a6c2ee171b71024d209fdcce1690",
+    6: "8fbfb5b87e31f34c7f45b96951a7ae2dac91278c237b4f4767adfd4f44218bd4",
+}
 
 
 @pytest.mark.parametrize("k", sorted(ATTACHMENT_PACKED_NODES))
 def test_attachment_chart_sizes(english, k):
     forest = parse_forest(("a cat" + " in a box" * k).split(), english, seq_cap=64)
     assert forest.packed_node_count() == ATTACHMENT_PACKED_NODES[k]
+    assert sum(len(cell) for cell in forest.chart.values()) == ATTACHMENT_ITEMS[k]
+    cells = [(span, [(it.cat, str(it.ty), len(it.sources)) for it in cell.values()])
+             for span, cell in forest.chart.items()]
+    assert hashlib.sha256(repr(cells).encode()).hexdigest() == ATTACHMENT_CELL_DIGESTS[k]
     _no_cell_holds_equal_items(forest)
+
+
+def test_a_parsed_type_and_the_equal_built_type_are_one_object(english):
+    parsed = parse_type(sexpr.parse("(D (D e))")[0], english.registry)
+    forest = parse_forest("a cat in a box".split(), english)
+    [item] = [it for it in forest.root_items() if str(it.ty) == "D D e"]
+    assert item.ty is parsed
 
 
 def test_a_seeded_type_and_an_equal_combined_type_share_one_item():
@@ -812,19 +836,21 @@ def test_evaluating_and_drawing_leave_no_reference_cycles(english, solar):
     assert left == collections.Counter()
 
 
-def test_a_cold_parse_makes_each_distinct_mode_once(monkeypatch):
-    from effparse import combine
+def test_a_cold_parse_adds_each_distinct_mode_to_the_table_once(monkeypatch):
     lex = load_language(DATA / "english.lang")  # a new registry: a cold mode cache
-    combine._mode.cache_clear()
     made = []
-    make = Mode.__init__
+    post_init = Mode.__post_init__
 
-    def counted(self, *args, **kwargs):
-        make(self, *args, **kwargs)
-        made.append(self)
-    monkeypatch.setattr(Mode, "__init__", counted)
-    parse_forest(("a cat" + " in a box" * 6).split(), lex, seq_cap=64)
-    assert len(made) == len(set(made)) > 1
+    def counted(self):
+        post_init(self)
+        made.append((self.kind, self.functor, self.pair))
+    monkeypatch.setattr(Mode, "__post_init__", counted)
+    monkeypatch.setattr(Mode, "_table", {})  # the modes made so far stay apart
+    forest = parse_forest(("a cat" + " in a box" * 6).split(), lex, seq_cap=64)
+    assert len(made) == len(set(made)) == len(Mode._table) > 1
+    used = {m for cell in forest.chart.values() for item in cell.values()
+            for src in item.sources if isinstance(src, tuple) for seq in src[0] for m in seq}
+    assert all(Mode._table[(m.kind, m.functor, m.pair)] is m for m in used)
 
 
 def test_every_mode_kind_roundtrips():

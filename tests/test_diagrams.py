@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from effparse import diagrams
-from effparse.combine import parse, render_modes
+from effparse.combine import Branch, parse, render_modes
 from effparse.diagrams import (Diagram, DiagramError, PlanarityError, all_normal_forms,
                                applicable_reductions, cell_menu, diagram_to_dot,
                                diagram_to_sexpr, diagrams_equal,
@@ -113,6 +113,27 @@ def test_summaries_draw_the_reference_diagrams(english, syntax):
                 drawn += 1
                 errors += isinstance(got, str)
     assert drawn > 2 * 2000 and errors > 2 * 100
+
+
+def test_nodes_whose_summaries_are_equal_hold_one_summary(english):
+    """Summaries are interned: equal ones are one object, also where the
+    ``_compose`` cache could not share them, their branches' modes or
+    children differing."""
+    objects, made_from = {}, {}
+    stack = list(parse(("a cat" + " in a box" * 3).split(), english))
+    while stack:
+        d = stack.pop()
+        s = diagrams._summary(d)
+        if isinstance(s, PlanarityError):
+            continue
+        fields = (s.cells, s.bottom, s.top, s.logical)
+        objects.setdefault(fields, set()).add(id(s))
+        if isinstance(d, Branch):
+            made_from.setdefault(fields, set()).add(
+                (d.modes, id(diagrams._summary(d.left)), id(diagrams._summary(d.right))))
+            stack += (d.left, d.right)
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert any(len(keys) > 1 for keys in made_from.values())
 
 
 def test_a_kept_planarity_error_is_raised_afresh_and_pins_nothing(english, syntax):

@@ -1,17 +1,17 @@
 """What callers rely on of the engine's record classes: structural,
-class-distinct equality with hashes that agree; identity equality of
-closure values; immutability with memo slots set through
-``object.__setattr__``; and the exact repr text that error messages and
-``values.render`` print."""
+class-distinct equality with hashes that agree; one object per value of
+an interned class; identity equality of closure values; immutability
+with memo slots set through ``object.__setattr__``; and the exact repr
+text that error messages and ``values.render`` print."""
 
 import pytest
 
-from effparse.combine import Branch, Leaf, Mode
+from effparse.combine import Branch, Leaf, Mode, ModeError, parse_mode
 from effparse.lexicon import LexEntry
 from effparse.model import Model
 from effparse.sexpr import Node
 from effparse.terms import App, Const, Lam, Var
-from effparse.typesys import Arrow, Base, Eff, FunctorDef
+from effparse.typesys import Arrow, Base, Eff, FunctorDef, Prod, Ty
 from effparse.values import B, ContV, E, Fn, MaybeV, PairV, ReaderV, SeqV, StateV
 
 E_TY, T_TY = Base("e"), Base("t")
@@ -40,7 +40,8 @@ EQUAL_PAIRS = [
 @pytest.mark.parametrize("make_a, make_b", EQUAL_PAIRS)
 def test_records_with_equal_fields_are_equal_and_hash_alike(make_a, make_b):
     a, b = make_a(), make_b()
-    assert a is not b and a == b and not a != b
+    assert (a is b) == isinstance(a, (Ty, Mode))  # the interned classes
+    assert a == b and not a != b
     if type(a) is not Model:  # a model holds a dict
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
@@ -101,9 +102,7 @@ def test_assigning_to_a_frozen_record_raises(record, field):
 
 
 def test_memo_slots_are_set_through_object_setattr():
-    term, ty, mode, branch = Var("x"), Arrow(E_TY, T_TY), Mode("j", "D"), _branch()
-    h = hash(ty)
-    assert ty._hash == h  # the type keeps the hash it computed
+    term, mode, branch = Var("x"), Mode("j", "D"), _branch()
     object.__setattr__(term, "_code", len)
     object.__setattr__(branch, "_uses", 2)
     object.__setattr__(branch, "_memo", None)
@@ -112,6 +111,20 @@ def test_memo_slots_are_set_through_object_setattr():
     # a memo slot is not a field: equality and hashes ignore it
     assert term == Var("x") and hash(term) == hash(Var("x"))
     assert branch == _branch() and _branch()._uses == 0
+
+
+def test_an_interned_class_makes_one_object_per_value():
+    assert Mode("ml", "G") is Mode("ml", functor="G") is parse_mode("ML_G")
+    assert Mode("fwd") is Mode("fwd", None, None) is Mode(kind="fwd", pair=None)
+    assert Arrow(E_TY, Eff("D", T_TY)) is Arrow(cod=Eff("D", Base("t")), dom=Base("e"))
+    # each class has its own table, so equal fields of two classes stay apart
+    assert Arrow(E_TY, T_TY) is not Prod(E_TY, T_TY)
+    before = dict(Mode._table)
+    with pytest.raises(ModeError):
+        Mode("zz")
+    assert Mode._table == before  # a failed __post_init__ stores nothing
+    with pytest.raises(TypeError):
+        Mode("ml", "G", None, "extra")
 
 
 def test_reprs_are_exact():

@@ -11,9 +11,12 @@ each workload the script runs ``python3 perfbench/run.py --workload W
 --seed N --seconds S --trace 0`` in each checkout: one warm-up run of
 WARM_UP_SECONDS per side, then the pairs.  Even pairs run the parent
 first and odd pairs the change first, and the two sides never run at
-the same time.  It writes one JSON file with the summary of every
-end-to-end metric that ``BENCHMARK.json`` of the change declares, and
-every raw run.
+the same time.  Just before each run it times one bare ``python3 -I -c
+pass`` in the same checkout, so that a move of ``setup_s`` can be told
+from a move of the interpreter's own start.  It writes one JSON file with
+the summary of every end-to-end metric that ``BENCHMARK.json`` of the
+change declares, the median and quartiles of each side's bare start as
+``interpreter_start_s``, and every raw run.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ METHOD = (
     "parent_spread is the parent's quartile distance over its median, and a "
     "metric whose parent_spread exceeds its bound is reported as unresolved; "
     "clears_parent_iqr says whether the change's median is better than the "
-    "parent's by more than the parent's quartile distance")
+    "parent's by more than the parent's quartile distance; interpreter_start_s "
+    "is the wall time of one bare 'python3 -I -c pass' in the same checkout just "
+    "before each run")
 SIDES = ("parent", "change")
 WARM_UP_SECONDS = 2  # enough to write both checkouts' byte-code caches
 
@@ -50,15 +55,25 @@ def command(workload: str, seed: int, seconds: float) -> list:
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
 
 
+def interpreter_start(checkout: Path) -> float:
+    """The wall time, in seconds, of one bare interpreter start in
+    ``checkout``."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-I", "-c", "pass"], cwd=checkout, check=True)
+    return time.perf_counter() - start
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``checkout``: its time of day, whether its
-    checks held, its operation counts and each metric's value."""
+    """One benchmark run in ``checkout``: its time of day, the bare
+    interpreter start timed just before it, whether its checks held, its
+    operation counts and each metric's value."""
     started = time.strftime("%H:%M:%S")
+    bare_start = interpreter_start(checkout)
     proc = subprocess.run(command(workload, seed, seconds), cwd=checkout,
                           capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"started": started, "correct": out["correct"], "attempted": out["attempted"],
-            "failed": out["failed"],
+    return {"started": started, "interpreter_start_s": bare_start,
+            "correct": out["correct"], "attempted": out["attempted"], "failed": out["failed"],
             "metrics": {k: v["value"] for k, v in out["metrics"].items()}}
 
 
@@ -125,6 +140,9 @@ def summarise_workload(workload: str, seed: int, runs: dict, end_to_end: list) -
         "all_correct": all(r["correct"] for r in parent + change),
         "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+        "interpreter_start_s": {
+            side: _rounded(_quartiles([r["interpreter_start_s"] for r in runs[side]]))
+            for side in SIDES},
         "metrics": {
             m["name"]: summarise_metric([r["metrics"][m["name"]] for r in parent],
                                         [r["metrics"][m["name"]] for r in change],
