@@ -29,12 +29,13 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from . import terms as T
-from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, _carrier, ap, apply_value,
-                          counit, eta, eval_term, fmap_apply, join, lower, upsilon)
+from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, _carrier, _map_left, _map_right,
+                          ap, apply_value, counit, eta, eval_term, fmap_apply, join,
+                          lower, upsilon)
 from .lexicon import LanguageParseError, LexEntry, Lexicon, load_file, load_forms
 from .record import Record
 from .typesys import Arrow, Base, Eff, Registry, Ty, TypeSysError, deep_effect_count
-from .values import FALSE, TRUE, B, Fn
+from .values import FALSE, TRUE, B, Fn, StateV
 
 
 class ModeError(Exception):
@@ -84,19 +85,21 @@ class Mode(Record, interned=True):
 
 def parse_mode(text: str) -> Mode:
     """The mode rendered as ``text``; kinds and their indices come from
-    :data:`MODE_RULES`."""
+    :data:`MODE_RULES`.  An empty functor or adjoint name is rejected
+    before any mode is made, so malformed text adds nothing to the mode
+    table."""
     head, _, index = text.partition("_")
     kind = _RENDER_BASE.get(text, head.lower())
     rule = MODE_RULES.get(kind)
     if rule is not None:
         if rule.indexed_by == "pair":
             left, _, right = index.partition(":")
-            m = Mode(kind, pair=(left, right))
+            m = Mode(kind, pair=(left, right)) if left and right else None
         elif rule.indexed_by == "functor":
-            m = Mode(kind, functor=index)
+            m = Mode(kind, functor=index) if index else None
         else:
             m = Mode(kind)
-        if m.render() == text:
+        if m is not None and m.render() == text:
             return m
     raise ModeError(f"cannot parse mode {text!r}")
 
@@ -225,10 +228,19 @@ def _mapped(on_left):
     """ML/MR: map the inner combination over the left (``on_left``) or
     the right child's effect.  The functor's capability and its carrier's
     ``fmap`` are resolved when the combinator is built, and a child value
-    of the carrier's class goes straight to that ``fmap``.  Anything else,
-    and every value where the registry or the carrier lacks what is
-    needed, goes through :func:`fmap_apply`, which raises the error it
-    always has when the combinator is applied."""
+    of the carrier's class goes straight to that ``fmap``, over an ``Fn``
+    of the inner combination.  Anything else, and every value where the
+    registry or the carrier lacks what is needed, goes through
+    :func:`fmap_apply`, which raises the error it always has when the
+    combinator is applied.
+
+    Over D the combinator makes no ``Fn`` and no closure: it builds the
+    mapped ``StateV`` from the inner combinator, the fixed operand and the
+    state, with a step that reads ``inner(a, y)`` or ``inner(x, a)``
+    straight from them.  Only D gets this: it is the only carrier that
+    memoises, so a mapped state keeps what it is built from for as long as
+    it lives, and the only one the workloads stack deep ("a cat (in a
+    box)^k" stacks up to seven)."""
     def denote(m, reg):
         f = m.functor
         try:
@@ -238,13 +250,21 @@ def _mapped(on_left):
         except TypeSysError:
             cls, fmap = (), None  # no classes: every value takes fmap_apply
 
-        def mapped(go, v):
+        def mapped(inner, x, y):
+            if on_left:
+                go, v = Fn(lambda a: inner(a, y), label="\\_a"), x
+            else:
+                go, v = Fn(lambda b: inner(x, b), label="\\_b"), y
             return fmap(go, v) if isinstance(v, cls) else fmap_apply(reg, f, go, v)
+        if cls is not StateV:
+            return lambda inner: lambda x, y: mapped(inner, x, y)
         if on_left:
-            return lambda inner: lambda x, y: mapped(
-                Fn(lambda a: inner(a, y), label="\\_a"), x)
-        return lambda inner: lambda x, y: mapped(
-            Fn(lambda b: inner(x, b), label="\\_b"), y)
+            return lambda inner: lambda x, y: (
+                StateV.of(_map_left, (inner, y, x)) if isinstance(x, StateV)
+                else mapped(inner, x, y))
+        return lambda inner: lambda x, y: (
+            StateV.of(_map_right, (inner, x, y)) if isinstance(y, StateV)
+            else mapped(inner, x, y))
     return denote
 
 

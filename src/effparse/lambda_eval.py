@@ -17,9 +17,11 @@ raised, and drops it after its last use.  ``EVAL_ERRORS`` lists the
 errors evaluation raises because of the language or model it runs on;
 they are kept without their tracebacks and printed as ``<error: ...>``,
 and any other exception is a fault in the program and propagates.  Every
-state transformer built here is one closure that looks a state up in its
-memo and, on a miss, runs, checks the outcomes and stores them, so each
-stored run is checked once and a run that fails stores nothing.
+state transformer built here is one ``StateV`` object, with no closure: a
+first-order step, the operands it reads and the object's own memo.  On a
+miss the state runs its step, which computes and checks the outcomes, and
+stores what the step returns, so each stored run is checked once and a
+run that fails stores nothing.
 
 Evaluation is deterministic and left-to-right; quantifiers and set
 builders range over the model's entities; predicates read the model's
@@ -303,25 +305,26 @@ def _run_state(v, s):
     return _expect("D", v, StateV).run(s)
 
 
-def _state(run):
-    """The ``StateV`` of ``run``, whose one closure memoises each run by
-    its state: it runs ``run``, checks the outcomes and stores them, so
-    each stored run is checked once.  A run that raises or fails the
-    check stores nothing."""
-    memo = {}
+def _checked(out):
+    """``out``, checked to be a set of ``(value, state)`` outcomes: the
+    check every state step of this module ends with."""
+    if not isinstance(out, SetV):
+        raise ShapeError("a state carrier must yield a set of outcomes")
+    for pr in out.elems:
+        if not isinstance(pr, PairV) or not isinstance(pr.right, SeqV):
+            raise ShapeError("state outcomes must be (value, state) pairs")
+    return out
 
-    def checked(s):
-        out = memo.get(s)
-        if out is None:
-            out = run(s)
-            if not isinstance(out, SetV):
-                raise ShapeError("a state carrier must yield a set of outcomes")
-            for pr in out.elems:
-                if not isinstance(pr, PairV) or not isinstance(pr.right, SeqV):
-                    raise ShapeError("state outcomes must be (value, state) pairs")
-            memo[s] = out
-        return out
-    return StateV.memoised(checked)
+
+def _run_checked(run, s):
+    return _checked(run(s))
+
+
+def _state(run):
+    """The ``StateV`` whose step calls ``run`` and checks the outcomes, so
+    each run it stores is checked once.  A run that raises or fails the
+    check stores nothing."""
+    return StateV.of(_run_checked, run)
 
 
 class Carrier(Record):
@@ -352,28 +355,30 @@ def _join_writer(outer):
     return PairV(inner.left, B(p and q))
 
 
-def _fmap_state(fn, st):
-    # writes pass through unmapped: mapping them too would break the
-    # monad unit law on the full carrier
-    run_st = st.run
-    if isinstance(fn, Fn):
-        f = fn.run
-    else:
-        def f(v):
-            return apply_value(fn, v)
-
-    def run(s):
-        return SetV([PairV(f(pr.left), pr.right) for pr in run_st(s).elems])
-    return _state(run)
+def _eta_step(v, s):
+    return _checked(SetV([PairV(v, s)]))
 
 
-def _join_state(st):
-    def run(s):
-        out = []
-        for pr in _run_state(st, s).elems:
-            out.extend(_run_state(pr.left, pr.right).elems)
-        return SetV(out)
-    return _state(run)
+def _map_left(op, s):
+    """The step of the state that maps ``f(a, y)`` over the values ``a``
+    of the outcomes of ``st``, for ``op = (f, y, st)``; writes pass
+    through unmapped, as mapping them too would break the monad unit law
+    on the full carrier."""
+    f, y, st = op
+    return _checked(SetV([PairV(f(pr.left, y), pr.right) for pr in st.run(s).elems]))
+
+
+def _map_right(op, s):
+    """As :func:`_map_left`, mapping ``f(x, a)`` for ``op = (f, x, st)``."""
+    f, x, st = op
+    return _checked(SetV([PairV(f(x, pr.left), pr.right) for pr in st.run(s).elems]))
+
+
+def _join_step(st, s):
+    out = []
+    for pr in st.run(s).elems:
+        out.extend(_run_state(pr.left, pr.right).elems)
+    return _checked(SetV(out))
 
 
 def _state_type(reg, a):
@@ -411,9 +416,10 @@ CARRIERS = {
                                               reg.base_type("t")),
                  coerce=lambda fn: ContV(lambda c: fn.run(Fn(c, label="cont")))),
     # state over discourse sequences: state -> set of (value, state) pairs
-    "D": Carrier(StateV, fmap=_fmap_state,
-                 eta=lambda v: _state(lambda s: SetV([PairV(v, s)])),
-                 join=_join_state, literal=_state_type,
+    "D": Carrier(StateV,
+                 fmap=lambda fn, st: StateV.of(_map_right, (apply_value, fn, st)),
+                 eta=lambda v: StateV.of(_eta_step, v),
+                 join=lambda st: StateV.of(_join_step, st), literal=_state_type,
                  coerce=lambda fn: _state(fn.run)),
     # optionality with absent #
     "M": Carrier(MaybeV,

@@ -9,9 +9,11 @@ most five entities, singletons and their complements on larger ones), and
 every assignment/state sequence of length at most two.  That truncation
 makes value equality decidable at desk scale, which the law suites rely on.
 
-A state transformer runs once per distinct state: each ``StateV`` memoises
-its runs, keyed by the state, for as long as the value lives, so values
-that several derivations share do not repeat their runs when forced.
+A state transformer runs once per distinct state: each ``StateV`` is one
+object that holds a first-order step function, the operand the step reads
+and its own memo of runs, keyed by the state, for as long as the value
+lives, so values that several derivations share do not repeat their runs
+when forced.
 Truth values are immutable, so code that makes them at a high rate hands
 out :data:`TRUE` and :data:`FALSE` instead of allocating a ``B`` each time.
 """
@@ -43,9 +45,9 @@ class Value(Record):
     class compares its fields, and ``SetV`` compares its canonical
     elements.  The function-like carriers are declared ``eq=False``, so
     they compare by identity; :func:`values_equal` compares them
-    extensionally.  Every value class but ``SetV`` and ``StateV`` stores
-    its fields in its own constructor, as values are built at a high rate
-    (see :mod:`effparse.record`)."""
+    extensionally.  Every value class stores its fields in its own
+    constructor, as values are built at a high rate (see
+    :mod:`effparse.record`); ``SetV`` orders its elements first."""
 
 
 class B(Value):
@@ -161,43 +163,46 @@ class StateV(Value, eq=False):
     """A state transformer: ``run`` maps a state ``SeqV`` to a ``SetV`` of
     ``PairV(value, state)`` outcomes.
 
-    ``run`` is memoised: each ``StateV`` runs its function once per
-    distinct state, keyed by the state's structural equality and hash, and
-    returns the same outcome set at every later call on an equal state.
-    That is sound because a run is a pure function of its state under the
-    model and registry the value was built with, and outcomes are
-    immutable.  A run that raises stores nothing.  The constructor wraps
-    the given function in a memo; :meth:`memoised` takes a function that
-    already keeps its own, as the state transformers of
-    :mod:`effparse.lambda_eval` do, which memoise, run and check their
-    outcomes in one closure.  Either memo is a dict in a closure that
-    holds the function and not the ``StateV``, so it adds no reference
-    cycle and is freed with the value."""
+    A state is one object, with no closure: it holds a first-order
+    ``step``, the ``operand`` the step reads, and its own memo.
+    ``run(s)`` looks ``s`` up in the memo, keyed by the state's structural
+    equality and hash, and on a miss stores ``step(operand, s)``, so each
+    ``StateV`` runs its step once per distinct state and returns the same
+    outcome set at every later call on an equal state.  That is sound
+    because a run is a pure function of its state under the model and
+    registry the value was built with, and outcomes are immutable.  A run
+    that raises stores nothing.  ``StateV(run)`` is the state whose step
+    calls ``run``; :meth:`of` takes the step and its operand, as the state
+    transformers of :mod:`effparse.lambda_eval` do, whose steps also check
+    their outcomes.  The step is given the operand, not the ``StateV``,
+    so the memo adds no reference cycle and is freed with the value."""
 
-    run: object  # SeqV -> SetV of PairV(Value, SeqV)
+    step: object  # (operand, SeqV) -> SetV of PairV(Value, SeqV)
+    operand: object
 
     def __init__(self, run):
-        object.__setattr__(self, "run", _memoised(run))
+        object.__setattr__(self, "step", _call)
+        object.__setattr__(self, "operand", run)
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
-    def memoised(cls, run):
-        """The ``StateV`` of ``run``, used as given: ``run`` must memoise
-        its own runs."""
+    def of(cls, step, operand):
+        """The state that runs ``step(operand, s)`` on a state ``s``."""
         st = cls.__new__(cls)
-        object.__setattr__(st, "run", run)
+        object.__setattr__(st, "step", step)
+        object.__setattr__(st, "operand", operand)
+        object.__setattr__(st, "_memo", {})
         return st
 
-
-def _memoised(fn):
-    """``fn`` with a memo from argument to result; errors are not stored."""
-    memo = {}
-
-    def run(s):
-        out = memo.get(s)
+    def run(self, s):
+        out = self._memo.get(s)
         if out is None:
-            out = memo[s] = fn(s)
+            out = self._memo[s] = self.step(self.operand, s)
         return out
-    return run
+
+
+def _call(run, s):
+    return run(s)
 
 
 class ContV(Value, eq=False):
@@ -222,10 +227,11 @@ def structural_key(v):
         k = structural_key(v.payload)
         return None if k is None else ("M", k)
     if isinstance(v, PairV):
-        kl, kr = structural_key(v.left), structural_key(v.right)
-        if kl is None or kr is None:
+        kl = structural_key(v.left)
+        if kl is None:  # the right part's key would be thrown away
             return None
-        return ("P", kl, kr)
+        kr = structural_key(v.right)
+        return None if kr is None else ("P", kl, kr)
     if isinstance(v, SeqV):
         ks = tuple(structural_key(x) for x in v.items)
         return None if any(k is None for k in ks) else ("Q", ks)

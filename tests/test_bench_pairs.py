@@ -1,4 +1,5 @@
 import importlib.util
+import json
 
 import pytest
 
@@ -108,3 +109,31 @@ def test_each_run_times_a_bare_interpreter_start_just_before_it(monkeypatch, tmp
     assert calls == [(["-I", "-c", "pass"], tmp_path),
                      (bench_pairs.command("corpus", 1, 0.5)[1:], tmp_path)]
     assert result["interpreter_start_s"] >= 0 and result["attempted"] == 3
+
+
+def test_both_checkouts_are_byte_compiled_before_their_first_run(monkeypatch, tmp_path):
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for path in checkouts.values():
+        path.mkdir()
+    (checkouts["change"] / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "ops_per_s", "unit": "op/s", "better": "higher",'
+        ' "bound": 0.25}]}')
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((argv[1:], cwd))
+        stdout = ('{"correct": true, "attempted": 3, "failed": 0,'
+                  ' "metrics": {"ops_per_s": {"value": 1.0}}}\n')
+        return type("Done", (), {"stdout": stdout})()
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(checkouts["parent"]),
+                             "--change", str(checkouts["change"]), "--workload", "corpus",
+                             "--pairs", "2", "--seconds", "1", "--out", str(out)]) == 0
+    compile_call = ["-m", "compileall", "-q", "src", "perfbench"]
+    for path in checkouts.values():
+        own = [argv for argv, cwd in calls if cwd == path]
+        assert own.count(compile_call) == 1
+        assert own[0] == compile_call  # before the warm-up and every timed start
+        assert bench_pairs.command("corpus", 1, 2)[1:] in own  # the warm-up ran there
+    assert "compileall" in json.loads(out.read_text())["method"]

@@ -15,7 +15,8 @@ from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               outcome, parse, parse_forest,
                               parse_mode, parse_modes, prune, render_modes,
                               replay_modes, value_of)
-from effparse.lambda_eval import EVAL_ERRORS, EvalError, eval_term, join
+from effparse.lambda_eval import (EVAL_ERRORS, EvalError, ShapeError, eval_term, fmap_apply,
+                                  join)
 from effparse import sexpr
 from effparse.lexicon import load_language, load_language_text, parse_type
 from effparse.model import Model, ModelError
@@ -278,6 +279,23 @@ def test_a_missing_capability_or_carrier_raises_when_the_combinator_is_applied(
     for left, right in (("bad", "r"), ("bad", "bad"), ("l", "bad")):
         with pytest.raises(EvalError, match="^a child fails$"):
             branch_value(Branch(None, seq, left, right), reg, values.get)
+
+
+@pytest.mark.parametrize("modes, child, other", [
+    ("ML_D >", ReaderV(lambda g: _RED), E("a")),
+    ("MR_D <", MaybeV(_RED), E("a")),
+    ("ML_D >", _RED, E("a")),
+])
+def test_a_state_mapping_combinator_on_a_non_state_child_raises_what_fmap_apply_raises(
+        english, modes, child, other):
+    reg = english.registry
+    with pytest.raises(ShapeError) as want:
+        fmap_apply(reg, "D", _RED, child)
+    fn = _combinator(parse_modes(modes), reg)
+    with pytest.raises(ShapeError) as got:
+        fn(child, other) if modes.startswith("ML") else fn(other, child)
+    message = f"value {render_value(child)} is not a D-carrier"
+    assert str(got.value) == str(want.value) == message
 
 
 # -- parse ---------------------------------------------------------------------
@@ -865,6 +883,28 @@ def test_every_mode_kind_roundtrips():
 def test_parse_mode_rejects_malformed(text):
     with pytest.raises(ModeError):
         parse_mode(text)
+
+
+@pytest.mark.parametrize("text", ["ML_", "A_", "J_", "ML", "C_:", "C_P:", "C_:G", "C_P"])
+def test_parse_mode_rejects_an_empty_index_and_makes_no_mode(text):
+    before = dict(Mode._table)
+    with pytest.raises(ModeError, match="^cannot parse mode"):
+        parse_mode(text)
+    assert Mode._table == before
+
+
+def test_every_mode_the_typing_rules_make_roundtrips(syntax, monkeypatch):
+    lex = load_language(DATA / "english.lang")  # a new registry: a cold mode cache
+    monkeypatch.setattr(Mode, "_table", {})  # only the modes these parses make
+    for sentence in SENTENCES:
+        for grammar in (None, syntax):
+            for pruned in (True, False):
+                parse_forest(sentence.split(), lex, syntax=grammar, prune_seqs=pruned)
+    made = list(Mode._table.values())
+    assert {m.kind for m in made} >= {"fwd", "bwd", "ml", "mr", "a", "j"}
+    for m in made:
+        assert parse_mode(m.render()) is m
+    assert list(Mode._table.values()) == made
 
 
 def test_mode_string_roundtrip(english):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from effparse import terms as T
-from effparse.combine import derivation_term, parse
+from effparse import values
+from effparse.combine import _combinator, derivation_term, parse, parse_modes
 from effparse.lambda_eval import (EvalError, ShapeError, UnboundVariableError,
                                   adjunction_unit, ap, apply_nat, apply_value,
                                   _state, check_shape, counit, eta, eval_term,
@@ -191,6 +192,60 @@ def test_set_elems_match_the_keyed_reference(elems):
     assert [id(v) for v in got] == [id(v) for v in want]
 
 
+def reference_structural_key(v):
+    """The key as first defined, where a pair keys both of its parts
+    before it looks at either."""
+    if isinstance(v, B):
+        return ("B", v.value)
+    if isinstance(v, E):
+        return ("E", v.name)
+    if isinstance(v, MaybeV):
+        if v.absent:
+            return ("M", None)
+        k = reference_structural_key(v.payload)
+        return None if k is None else ("M", k)
+    if isinstance(v, PairV):
+        kl, kr = reference_structural_key(v.left), reference_structural_key(v.right)
+        if kl is None or kr is None:
+            return None
+        return ("P", kl, kr)
+    if isinstance(v, SeqV):
+        ks = tuple(reference_structural_key(x) for x in v.items)
+        return None if any(k is None for k in ks) else ("Q", ks)
+    if isinstance(v, SetV):
+        ks = tuple(reference_structural_key(x) for x in v.elems)
+        return None if any(k is None for k in ks) else ("S", ks)
+    return None
+
+
+def keyed_values():
+    """The set elements, pairs of them (either part may have no key), and
+    sets of ``(value, state)`` outcomes such as a state run yields."""
+    parts = set_elements()
+    outcomes = S.env_pair_values(parts)
+    return st.one_of(parts, st.tuples(parts, parts).map(lambda p: PairV(*p)),
+                     outcomes, st.lists(outcomes, max_size=3).map(SetV))
+
+
+@given(keyed_values())
+@settings(max_examples=300, deadline=None)
+def test_structural_keys_equal_the_first_definition(v):
+    assert structural_key(v) == reference_structural_key(v)
+
+
+def test_a_pair_with_an_unkeyed_left_part_keys_nothing_on_its_right(monkeypatch):
+    calls = []
+    key = values.structural_key
+
+    def counted(v):
+        calls.append(v)
+        return key(v)
+    monkeypatch.setattr(values, "structural_key", counted)  # the recursion calls it too
+    pair = PairV(ident(), SeqV((E("a"), E("b"))))
+    assert values.structural_key(pair) is None
+    assert calls == [pair, pair.left]
+
+
 def test_set_of_sets_order_does_not_depend_on_the_hash_seed():
     code = ("from effparse.values import E, SetV, render\n"
             "s = SetV([SetV([E('a'), E('b')]), SetV([E('c')]),"
@@ -282,53 +337,103 @@ def test_a_state_run_that_raises_runs_again():
     assert len(calls) == 2
 
 
-def test_an_evaluated_state_runs_once_per_distinct_state():
-    calls = []
+def _pair_with_the_state(s):
+    return SetV([PairV(ident(), s)])
 
-    def run(s):
+
+# operations that make a D value from a D value ``base`` whose outcome
+# values are functions: its checked state, a unit, a join, a map, and
+# the ML_D > and MR_D < mode combinators
+STATE_MAKERS = {
+    "state": lambda reg, base: _state(base.run),
+    "eta": lambda reg, base: eta(reg, "D", ident()),
+    "join": lambda reg, base: join(reg, "D", eta(reg, "D", base)),
+    "fmap": lambda reg, base: fmap_apply(reg, "D", ident(), base),
+    "ML_D >": lambda reg, base: _combinator(parse_modes("ML_D >"), reg)(base, E("a")),
+    "MR_D <": lambda reg, base: _combinator(parse_modes("MR_D <"), reg)(E("a"), base),
+}
+
+
+def _counted_steps(st, calls):
+    """``st``, with each run of its step recorded in ``calls``."""
+    step = st.step
+
+    def counted(operand, s):
         calls.append(s)
-        return SetV([PairV(E("a"), s)])
-    st = _state(run)
+        return step(operand, s)
+    object.__setattr__(st, "step", counted)
+    return st
+
+
+@pytest.mark.parametrize("make", STATE_MAKERS.values(), ids=list(STATE_MAKERS))
+def test_an_evaluated_state_runs_once_per_distinct_state(registry, make):
+    calls = []
+    st = _counted_steps(make(registry, _state(_pair_with_the_state)), calls)
+    assert isinstance(st, StateV)
     first = st.run(SeqV((E("a"),)))
     assert st.run(SeqV((E("a"),))) is first  # equal, but another object
-    assert st.run(SeqV(())) == SetV([PairV(E("a"), SeqV(()))])
-    assert st.run(SeqV(())) is st.run(SeqV(()))
+    out = st.run(SeqV(()))
+    assert [pr.right for pr in out.elems] == [SeqV(())]
+    assert st.run(SeqV(())) is out
     assert calls == [SeqV((E("a"),)), SeqV(())]
 
 
-@pytest.mark.parametrize("yields, message", [
-    (lambda s: PairV(E("a"), s), "a state carrier must yield a set of outcomes"),
-    (lambda s: SetV([PairV(E("a"), E("b"))]), "state outcomes must be (value, state) pairs"),
-    (lambda s: SetV([E("a")]), "state outcomes must be (value, state) pairs"),
+@pytest.mark.parametrize("make", [m for name, m in STATE_MAKERS.items() if name != "eta"],
+                         ids=[name for name in STATE_MAKERS if name != "eta"])
+@pytest.mark.parametrize("checked, yields, message", [
+    (True, lambda s: PairV(E("a"), s), "a state carrier must yield a set of outcomes"),
+    (True, lambda s: SetV([PairV(E("a"), E("b"))]),
+     "state outcomes must be (value, state) pairs"),
+    (True, lambda s: SetV([E("a")]), "state outcomes must be (value, state) pairs"),
+    # only the made state's own check sees an outcome of an unchecked state
+    (False, lambda s: SetV([PairV(ident(), E("b"))]),
+     "state outcomes must be (value, state) pairs"),
 ])
-def test_an_evaluated_state_run_that_fails_its_check_is_stored_nowhere(registry, yields,
+def test_an_evaluated_state_run_that_fails_its_check_is_stored_nowhere(registry, make,
+                                                                      checked, yields,
                                                                       message):
-    calls = []
+    runs, steps = [], []
 
     def run(s):
-        calls.append(s)
+        runs.append(s)
         return yields(s)
-    st = _state(run)
+    st = _counted_steps(make(registry, _state(run) if checked else StateV(run)), steps)
     for n in (1, 2, 3):
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             st.run(SeqV(()))
-        assert len(calls) == n
+        assert len(steps) == n
+        if checked:
+            assert len(runs) == n
+    assert st._memo == {}
     # a mapped state checks what it maps over at each run too
     mapped = fmap_apply(registry, "D", ident(), st)
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         mapped.run(SeqV(()))
-    assert len(calls) == 4
+    assert len(steps) == 4
+    assert len(runs) == (4 if checked else 1)
 
 
-def test_a_state_memo_adds_no_reference_cycle():
-    st = StateV(lambda s: SetV([PairV(E("a"), s)]))
+def test_a_unit_state_run_on_a_non_state_is_stored_nowhere(registry):
+    st = eta(registry, "D", E("a"))
+    for _ in range(2):
+        with pytest.raises(ShapeError,
+                           match=r"^state outcomes must be \(value, state\) pairs$"):
+            st.run(E("b"))
+    assert st._memo == {}
+
+
+@pytest.mark.parametrize("make", [lambda reg, base: StateV(base.run), *STATE_MAKERS.values()],
+                         ids=["StateV", *STATE_MAKERS])
+def test_a_state_memo_adds_no_reference_cycle(registry, make):
+    base = _state(_pair_with_the_state)
+    st = make(registry, base)
     for s in (SeqV(()), SeqV((E("a"),))):
         st.run(s)
-    ref = weakref.ref(st)
+    refs = [weakref.ref(st), weakref.ref(base)]
     gc.disable()
     try:
-        del st
-        assert ref() is None  # freed by its reference count alone
+        del st, base
+        assert [ref() for ref in refs] == [None, None]  # freed by reference counts alone
     finally:
         gc.enable()
 

@@ -6,9 +6,12 @@
         [--change-text TEXT] [--claim TEXT] --out BENCH_name.json
 
 Each checkout is the root of a copy of the repository (say, the parent
-commit from ``git archive`` and the change from the working tree).  For
-each workload the script runs ``python3 perfbench/run.py --workload W
---seed N --seconds S --trace 0`` in each checkout: one warm-up run of
+commit from ``git archive`` and the change from the working tree).  The
+script first runs ``python3 -m compileall -q src perfbench`` once in each
+checkout, so both sides run from byte code even where
+``PYTHONDONTWRITEBYTECODE`` keeps the runs from writing it.  For each
+workload it then runs ``python3 perfbench/run.py --workload W --seed N
+--seconds S --trace 0`` in each checkout: one warm-up run of
 WARM_UP_SECONDS per side, then the pairs.  Even pairs run the parent
 first and odd pairs the change first, and the two sides never run at
 the same time.  Just before each run it times one bare ``python3 -I -c
@@ -33,8 +36,9 @@ from pathlib import Path
 
 METHOD = (
     "{pairs} alternating parent/change pairs per workload, each run a fresh "
-    "process in its own checkout; one {warm}-s warm-up run per side and "
-    "workload before the pairs wrote both checkouts' byte-code caches; the two "
+    "process in its own checkout; 'python3 -m compileall -q src perfbench' ran "
+    "once in each checkout before any run, so both sides ran from byte code; "
+    "one {warm}-s warm-up run per side and workload preceded the pairs; the two "
     "sides never ran at the same time; even pairs ran the parent first, odd "
     "pairs the change first; quartiles are statistics.quantiles(n=4, "
     "method='inclusive') over one side's runs; change_better_pairs counts "
@@ -47,12 +51,19 @@ METHOD = (
     "is the wall time of one bare 'python3 -I -c pass' in the same checkout just "
     "before each run")
 SIDES = ("parent", "change")
-WARM_UP_SECONDS = 2  # enough to write both checkouts' byte-code caches
+WARM_UP_SECONDS = 2
 
 
 def command(workload: str, seed: int, seconds: float) -> list:
     return [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+
+
+def byte_compile(checkout: Path) -> None:
+    """Write ``checkout``'s byte-code caches of the engine and the benchmark,
+    which ``compileall`` does whatever ``PYTHONDONTWRITEBYTECODE`` says."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=checkout, check=True)
 
 
 def interpreter_start(checkout: Path) -> float:
@@ -177,6 +188,8 @@ def main(argv=None) -> int:
               f"{result['metrics']['ops_per_s']:.2f} op/s", file=sys.stderr)
         return result
 
+    for checkout in checkouts.values():
+        byte_compile(checkout)
     warm_ups, runs = run_pairs(args.workload, args.pairs, run)
     report = {
         "change": args.change_text,
