@@ -120,8 +120,8 @@ def parse_term(form, line=0) -> T.Term:
     if head == "idx":
         if len(items) != 3:
             raise LanguageParseError("idx expects 2 arguments", line)
-        if not isinstance(items[2], int):
-            raise LanguageParseError("idx expects a literal position", line)
+        if not isinstance(items[2], int) or items[2] < 0:
+            raise LanguageParseError("idx expects a literal position of 0 or more", line)
         return T.Idx(parse_term(items[1], line), items[2])
     raise LanguageParseError(f"unknown term head {head}", line)
 

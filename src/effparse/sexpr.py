@@ -9,6 +9,13 @@ from __future__ import annotations
 
 from .record import Record
 
+# The deepest a form may nest.  The shipped files nest at most 7 deep, and
+# the readers of types and terms, and the hashing of a form, recurse once
+# or a few times per level, so 100 levels leave them far from Python's
+# recursion limit (1,000 frames by default), where a deeper file would
+# end the program with a RecursionError instead of naming its line.
+MAX_DEPTH = 100
+
 
 class SexprError(Exception):
     def __init__(self, message: str, line: int = 0):
@@ -79,12 +86,15 @@ def _tokenize(text: str):
 
 
 def parse(text: str) -> list:
-    """Parse every top-level form; atoms come back as str/int/String."""
+    """Parse every top-level form; atoms come back as str/int/String.
+    A form nested deeper than :data:`MAX_DEPTH` is an error."""
     stack: list[list] = []
     lines: list[int] = []
     top: list = []
     for tok, line in _tokenize(text):
         if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise SexprError(f"forms nest deeper than {MAX_DEPTH} levels", line)
             stack.append([])
             lines.append(line)
         elif tok == ")":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import terms as T
 from .lambda_eval import CARRIERS
-from .typesys import Arrow, Eff, MalformedTypeError, Prod, Registry, Ty
+from .typesys import Arrow, Base, Eff, MalformedTypeError, Prod, Registry, Ty
 
 
 class TypeCheckError(Exception):
@@ -151,7 +151,7 @@ def _infer(reg, term, env):
         return t("s"), T.Push(item, seq)
     if isinstance(term, T.Idx):
         sty, seq = _infer(reg, term.seq, env)
-        if sty not in (t("g"), t("s")):
+        if sty not in (Base("g"), Base("s")):
             _fail(f"idx expects an assignment or state, found {sty}")
         return t("e"), T.Idx(seq, term.index)
     if isinstance(term, T.Fmap):

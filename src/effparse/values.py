@@ -1,9 +1,12 @@
 """Runtime values, extensional equality, and deterministic rendering.
 
 Plain data (booleans, entities, pairs, finite sets, optionals, entity
-sequences) compares structurally.  Function-like carriers (closures,
-readers, state transformers, continuations) compare extensionally over a
-finite probe domain derived from the model: all entities, both booleans,
+sequences) compares structurally with ``==``, and function-like carriers
+(closures, readers, state transformers, continuations) compare by
+identity; a finite set holds each element once under that equality, in
+the order first given, and compares as a set.  :func:`values_equal`
+compares function-like carriers extensionally instead, over a finite
+probe domain derived from the model: all entities, both booleans,
 characteristic predicates of entity subsets (every subset on models of at
 most five entities, singletons and their complements on larger ones), and
 every assignment/state sequence of length at most two.  That truncation
@@ -42,12 +45,12 @@ ABSENT = _Absent()
 
 class Value(Record):
     """A runtime value.  Plain data compares structurally: each record
-    class compares its fields, and ``SetV`` compares its canonical
-    elements.  The function-like carriers are declared ``eq=False``, so
-    they compare by identity; :func:`values_equal` compares them
+    class compares its fields, and ``SetV`` compares its elements as a
+    set.  The function-like carriers are declared ``eq=False``, so they
+    compare by identity; :func:`values_equal` compares them
     extensionally.  Every value class stores its fields in its own
     constructor, as values are built at a high rate (see
-    :mod:`effparse.record`); ``SetV`` orders its elements first."""
+    :mod:`effparse.record`)."""
 
 
 class B(Value):
@@ -100,15 +103,14 @@ class SeqV(Value):
 
 
 class SetV(Value):
-    """Finite set in canonical order.
+    """Finite set under the values' own equality.
 
-    From 2 elements up, elements with a :func:`structural_key` are
-    deduplicated by it (the first one given is kept) and ordered by the
-    ``repr`` of their keys; function-like elements, which have no key,
-    follow in the order given and are never deduplicated.  A set of 0 or 1
-    element keeps it as given and computes no key, since a lone element is
-    already deduplicated and in order.  Equal sets of plain data therefore
-    have equal ``elems``.
+    ``elems`` holds the first occurrence of each element, in the order
+    given, so equal data is kept once and a function-like element is a
+    duplicate only of itself.  A set of 0 or 1 element keeps it as given
+    without hashing it.  Two sets are equal when they hold the same
+    elements, whatever their order; :func:`render` sorts the elements'
+    texts, so printing does not depend on the order either.
     """
 
     __slots__ = ("elems",)
@@ -116,16 +118,7 @@ class SetV(Value):
     def __init__(self, elems=()):
         elems = tuple(elems)
         if len(elems) > 1:
-            keyed = {}
-            rest = []
-            for v in elems:
-                k = structural_key(v)
-                if k is None:
-                    rest.append(v)
-                elif k not in keyed:
-                    keyed[k] = v
-            ordered = sorted(keyed.items(), key=lambda kv: repr(kv[0]))
-            elems = tuple(v for _, v in ordered) + tuple(rest)
+            elems = tuple(dict.fromkeys(elems))
         object.__setattr__(self, "elems", elems)
 
     def __setattr__(self, *a):
@@ -137,10 +130,10 @@ class SetV(Value):
     def __eq__(self, other):
         if not isinstance(other, SetV):
             return NotImplemented
-        return self.elems == other.elems
+        return frozenset(self.elems) == frozenset(other.elems)
 
     def __hash__(self):
-        return hash(self.elems)
+        return hash(frozenset(self.elems))
 
 
 class Fn(Value, eq=False):
@@ -210,35 +203,6 @@ class ContV(Value, eq=False):
 
     def __init__(self, run):
         object.__setattr__(self, "run", run)
-
-
-def structural_key(v):
-    """Hashable identity for plain data; None for function-like values and
-    for data that holds one.  A set is keyed by the keys of its elements in
-    its canonical ``elems`` order, so the key, and the order of a set of
-    sets, does not depend on the string hash seed."""
-    if isinstance(v, B):
-        return ("B", v.value)
-    if isinstance(v, E):
-        return ("E", v.name)
-    if isinstance(v, MaybeV):
-        if v.absent:
-            return ("M", None)
-        k = structural_key(v.payload)
-        return None if k is None else ("M", k)
-    if isinstance(v, PairV):
-        kl = structural_key(v.left)
-        if kl is None:  # the right part's key would be thrown away
-            return None
-        kr = structural_key(v.right)
-        return None if kr is None else ("P", kl, kr)
-    if isinstance(v, SeqV):
-        ks = tuple(structural_key(x) for x in v.items)
-        return None if any(k is None for k in ks) else ("Q", ks)
-    if isinstance(v, SetV):
-        ks = tuple(structural_key(x) for x in v.elems)
-        return None if any(k is None for k in ks) else ("S", ks)
-    return None
 
 
 def render(v) -> str:

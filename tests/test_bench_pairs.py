@@ -137,3 +137,66 @@ def test_both_checkouts_are_byte_compiled_before_their_first_run(monkeypatch, tm
         assert own[0] == compile_call  # before the warm-up and every timed start
         assert bench_pairs.command("corpus", 1, 2)[1:] in own  # the warm-up ran there
     assert "compileall" in json.loads(out.read_text())["method"]
+
+
+PER_LAYER = [{"name": "lambda_eval.force_ms", "unit": "ms", "better": "lower"},
+             {"name": "lambda_eval.eval_errors", "unit": "count", "better": "lower"},
+             {"name": "combine.derivations", "unit": "count", "better": "higher"}]
+
+
+def traced_run(force_ms, derivations=333):
+    return {"started": "12:00:00", "interpreter_start_s": 0.01, "correct": True,
+            "attempted": 16, "failed": 0,
+            "metrics": {"lambda_eval.force_ms": force_ms, "lambda_eval.eval_errors": 0,
+                        "combine.derivations": derivations, "trace.ops": 8}}
+
+
+def test_a_per_layer_summary_has_quartiles_and_pairs_but_no_bound_status():
+    runs = {"parent": [traced_run(x) for x in (40.0, 44.0, 42.0, 46.0, 38.0)],
+            "change": [traced_run(x) for x in (39.0, 45.0, 30.0, 35.0, 36.0)]}
+    s = bench_pairs.summarise_workload("ambiguity", 7, runs, PER_LAYER)
+    assert set(s["metrics"]) == {m["name"] for m in PER_LAYER}
+    force = s["metrics"]["lambda_eval.force_ms"]
+    assert force == {"unit": "ms",
+                     "parent": {"median": 42.0, "q1": 40.0, "q3": 44.0},
+                     "change": {"median": 36.0, "q1": 35.0, "q3": 39.0},
+                     "change_better_pairs": 4,  # all but the pair 44 -> 45
+                     "parent_runs": [40.0, 44.0, 42.0, 46.0, 38.0],
+                     "change_runs": [39.0, 45.0, 30.0, 35.0, 36.0]}
+    # a count that reads 0 on both sides summarises too, with no pair better
+    errors = s["metrics"]["lambda_eval.eval_errors"]
+    assert errors["parent"] == errors["change"] == {"median": 0, "q1": 0, "q3": 0}
+    assert errors["change_better_pairs"] == 0
+    assert s["metrics"]["combine.derivations"]["change_better_pairs"] == 0
+
+
+def test_trace_pairs_traced_runs_and_summarises_the_per_layer_metrics(monkeypatch,
+                                                                      tmp_path):
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for path in checkouts.values():
+        path.mkdir()
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": END_TO_END, "per_layer": PER_LAYER}))
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append(argv[1:])
+        run = traced_run(40.0 + len(calls))
+        stdout = json.dumps({**run, "metrics": {k: {"value": v}
+                                                for k, v in run["metrics"].items()}})
+        return type("Done", (), {"stdout": stdout + "\n"})()
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(checkouts["parent"]),
+                             "--change", str(checkouts["change"]), "--workload", "ambiguity",
+                             "--pairs", "2", "--seconds", "1", "--seed", "7", "--trace",
+                             "--out", str(out)]) == 0
+    runs = [argv for argv in calls if argv[0] == "perfbench/run.py"]
+    assert len(runs) == 6  # a warm-up per side and two pairs
+    assert all(argv[-2:] == ["--trace", "1"] for argv in runs)
+    report = json.loads(out.read_text())
+    assert report["command"].endswith("--trace 1")
+    assert "'--trace 1' run" in report["method"]
+    metrics = report["workloads"]["ambiguity/seed7"]["metrics"]
+    assert set(metrics) == {m["name"] for m in PER_LAYER}
+    assert not any("status" in m or "bound" in m for m in metrics.values())

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from effparse import sexpr
 from effparse.cli import main
 from effparse.lexicon import load_language
 
@@ -76,6 +77,14 @@ def test_language_semantic_error_exit_3(capsys, tmp_path):
     assert "dog" in err
 
 
+def _nested(head, depth, core):
+    """``core`` inside ``depth`` forms ``(head ...)``."""
+    return f"({head} " * depth + core + ")" * depth
+
+
+TOO_DEEP = f"forms nest deeper than {sexpr.MAX_DEPTH} levels"
+
+
 @pytest.mark.parametrize("flag, form, message", [
     ("--language", "(nat n :from S :to () :handler true :impl identity)", ":from expects a list"),
     ("--model", "(entity)", "malformed entity form"),
@@ -88,8 +97,14 @@ def test_language_semantic_error_exit_3(capsys, tmp_path):
     ("--model", "(", "unbalanced ("),
     ("--syntax", "(", "unbalanced ("),
     ("--model", "()", "top-level forms must be lists"),
+    *((flag, "(" * 3000 + ")" * 3000, TOO_DEEP)
+      for flag in ("--language", "--model", "--syntax")),
+    ("--language", ("(base-type e) (base-type t) "
+                    f'(word "w" :type {_nested("-> e", 1200, "t")} :term true :cat S)'),
+     TOO_DEEP),
 ], ids=["nat", "entity", "pred", "negative arity", "short rule", "not a rule",
-        "unbalanced language", "unbalanced model", "unbalanced syntax", "empty model form"])
+        "unbalanced language", "unbalanced model", "unbalanced syntax", "empty model form",
+        "deep language", "deep model", "deep syntax", "deep type"])
 def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, message):
     bad = tmp_path / "bad"
     bad.write_text("\n" + form + "\n")
@@ -132,6 +147,27 @@ def test_a_file_that_is_not_utf8_is_a_parse_error_exit_2(capsys, tmp_path, flag)
     assert code == 2
     assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
     assert "Traceback" not in out + err
+
+
+def test_a_file_nested_to_the_bound_loads_and_evaluates(capsys, tmp_path):
+    # each word form is one level; its type or term is the other MAX_DEPTH - 1
+    inner = sexpr.MAX_DEPTH - 1
+    lang = tmp_path / "deep.lang"
+    lang.write_text(
+        "(base-type e) (base-type t)\n"
+        f'(word "deep" :type t :term {_nested("not", inner, "true")} :cat S)\n'
+        f'(word "curried" :type {_nested("-> e", inner, "t")}'
+        f' :term {_nested("lam x", inner, "true")} :cat S)\n')
+    assert max(_depth(f) for f in sexpr.parse(lang.read_text())) == sexpr.MAX_DEPTH
+    code, out, err = run(capsys, "eval", "--language", str(lang), "--model", MODEL, "deep")
+    assert (code, err) == (0, "")
+    assert out == "derivation 0: t = F\n"  # an odd number of negations of true
+
+
+def _depth(form):
+    if isinstance(form, sexpr.Node):
+        return 1 + max((_depth(x) for x in form.items), default=0)
+    return 0
 
 
 @pytest.mark.parametrize("limit", [("--max-derivations", "0")])

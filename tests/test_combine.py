@@ -653,6 +653,60 @@ def _outcome(reg, term, model, force):
         return type(exc), str(exc)
 
 
+# -- every mode kind from a sentence ----------------------------------------------
+
+# two words added to the shipped language, whose sentences reach UL, UR
+# and C, the kinds that no sentence of the shipped language reaches
+REACHING_WORDS = """
+(word "hopes" :type (-> (G e) t) :term (lam g true) :cat VP)
+(word "itpaired" :type (G (P (G e))) :term (lam gv (pair (lam gv2 (idx gv2 0)) gv)) :cat NP)
+"""
+
+# each sentence's readings (modes at the root, type, forced value on
+# solar.model), worked out by hand.  "hopes" ignores its argument, so a
+# sentence of it is true under every assignment.  "itpaired" pairs the
+# reading of "it" with the assignment it reads; the C_P:G reading applies
+# the one to the other, so its subject is j, the first entity of the
+# model's assignment, and j does not sleep; the other reading keeps the
+# pair: its reader's value, false as it reads j too, and the assignment.
+REACHING_SENTENCES = {
+    "it hopes": {("ML_G UL_G <", "G t", True)},
+    "hopes it": {("MR_G UR_G >", "G t", True)},
+    "itpaired sleeps": {("ML_G C_P:G ML_P ML_G <", "G t", False),
+                        ("ML_G ML_P ML_G <", "G P G t", (False, ("j",)))},
+}
+
+
+@pytest.fixture(scope="module")
+def reaching():
+    return load_language_text((DATA / "english.lang").read_text() + REACHING_WORDS)
+
+
+def test_every_mode_kind_is_reached_by_a_sentence(english, reaching):
+    used = {m.kind
+            for lex, sentences in ((english, SENTENCES), (reaching, REACHING_SENTENCES))
+            for sentence in sentences for node in _branches(parse(sentence.split(), lex))
+            for m in node.modes}
+    assert used == set(MODE_RULES)
+
+
+@pytest.mark.parametrize("sentence", sorted(REACHING_SENTENCES))
+def test_the_reaching_sentences_read_their_hand_computed_values(reaching, solar, sentence):
+    reg = reaching.registry
+    force = _benchmark_forcer(solar)
+
+    def readings(derivs):
+        return {(render_modes(d.modes), str(d.ty),
+                 _outcome(reg, derivation_term(reg, d), solar, force)) for d in derivs}
+    derivs = parse(sentence.split(), reaching)
+    for node in _branches(derivs):
+        assert replay_modes(reg, node.modes, node.left.ty, node.right.ty) == node.ty
+    assert readings(derivs) == REACHING_SENTENCES[sentence]
+    # pruning drops sequences but keeps every (type, forced value) pair
+    unpruned = readings(parse(sentence.split(), reaching, prune_seqs=False))
+    assert {r[1:] for r in unpruned} == {r[1:] for r in REACHING_SENTENCES[sentence]}
+
+
 EQUIVALENCE_SENTENCES = SENTENCES + tuple(
     "a cat" + " in a box" * k for k in range(1, 5))
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from effparse import terms as T
-from effparse import values
 from effparse.combine import _combinator, derivation_term, parse, parse_modes
 from effparse.lambda_eval import (EvalError, ShapeError, UnboundVariableError,
                                   adjunction_unit, ap, apply_nat, apply_value,
@@ -21,7 +20,7 @@ from effparse.lexicon import load_language_text
 from effparse.model import Model
 from effparse.typesys import NatDef, UnknownEffectError
 from effparse.values import (ABSENT, B, ContV, E, Fn, MaybeV, PairV, ReaderV,
-                             SeqV, SetV, StateV, structural_key, values_equal)
+                             SeqV, SetV, StateV, values_equal)
 
 from . import strategies as S
 from .conftest import entry
@@ -161,24 +160,19 @@ def test_fmap_set_id(registry):
     assert fmap_apply(registry, "S", ident(), s) == s
 
 
-def reference_set_elems(elems) -> tuple:
-    """The canonical order computed with keys whatever the size of the set:
-    keyed elements deduplicated (first kept) and sorted by the ``repr`` of
-    their keys, then unkeyed elements as given."""
-    keyed, rest = {}, []
+def first_occurrences(elems) -> list:
+    """Each element that equals no element before it, in the order given,
+    found with ``==`` alone."""
+    kept = []
     for v in elems:
-        k = structural_key(v)
-        if k is None:
-            rest.append(v)
-        elif k not in keyed:
-            keyed[k] = v
-    ordered = sorted(keyed.items(), key=lambda kv: repr(kv[0]))
-    return tuple(v for _, v in ordered) + tuple(rest)
+        if not any(v == k for k in kept):
+            kept.append(v)
+    return kept
 
 
 def set_elements():
     """Data values (fresh objects, so equal ones are duplicates), nested
-    sets, and the unkeyed ``Fn`` and ``StateV``."""
+    sets, and the function-like ``Fn`` and ``StateV``."""
     return st.one_of(S.payloads(), S.maybe_values(), S.writer_values(),
                      S.env_pair_values(), S.set_values(), S.set_values(S.set_values()),
                      S.entity_funs(), S.state_values())
@@ -186,64 +180,23 @@ def set_elements():
 
 @given(st.lists(set_elements(), max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_set_elems_match_the_keyed_reference(elems):
-    got = SetV(elems).elems
-    want = reference_set_elems(elems)
-    assert [id(v) for v in got] == [id(v) for v in want]
+def test_set_elems_are_the_first_occurrences_in_order(elems):
+    s = SetV(elems)
+    assert [id(v) for v in s.elems] == [id(v) for v in first_occurrences(elems)]
+    backwards = SetV(reversed(elems))
+    assert s == backwards and hash(s) == hash(backwards)
 
 
-def reference_structural_key(v):
-    """The key as first defined, where a pair keys both of its parts
-    before it looks at either."""
-    if isinstance(v, B):
-        return ("B", v.value)
-    if isinstance(v, E):
-        return ("E", v.name)
-    if isinstance(v, MaybeV):
-        if v.absent:
-            return ("M", None)
-        k = reference_structural_key(v.payload)
-        return None if k is None else ("M", k)
-    if isinstance(v, PairV):
-        kl, kr = reference_structural_key(v.left), reference_structural_key(v.right)
-        if kl is None or kr is None:
-            return None
-        return ("P", kl, kr)
-    if isinstance(v, SeqV):
-        ks = tuple(reference_structural_key(x) for x in v.items)
-        return None if any(k is None for k in ks) else ("Q", ks)
-    if isinstance(v, SetV):
-        ks = tuple(reference_structural_key(x) for x in v.elems)
-        return None if any(k is None for k in ks) else ("S", ks)
-    return None
+def test_a_set_holds_one_closure_once():
+    f = ident()
+    assert SetV([f, f]).elems == (f,)
 
 
-def keyed_values():
-    """The set elements, pairs of them (either part may have no key), and
-    sets of ``(value, state)`` outcomes such as a state run yields."""
-    parts = set_elements()
-    outcomes = S.env_pair_values(parts)
-    return st.one_of(parts, st.tuples(parts, parts).map(lambda p: PairV(*p)),
-                     outcomes, st.lists(outcomes, max_size=3).map(SetV))
-
-
-@given(keyed_values())
-@settings(max_examples=300, deadline=None)
-def test_structural_keys_equal_the_first_definition(v):
-    assert structural_key(v) == reference_structural_key(v)
-
-
-def test_a_pair_with_an_unkeyed_left_part_keys_nothing_on_its_right(monkeypatch):
-    calls = []
-    key = values.structural_key
-
-    def counted(v):
-        calls.append(v)
-        return key(v)
-    monkeypatch.setattr(values, "structural_key", counted)  # the recursion calls it too
-    pair = PairV(ident(), SeqV((E("a"), E("b"))))
-    assert values.structural_key(pair) is None
-    assert calls == [pair, pair.left]
+def test_sets_of_closures_are_equal_whatever_their_order():
+    f, g = ident(), Fn(lambda v: E("b"), label="kb")
+    assert SetV([f, g]) == SetV([g, f])
+    assert hash(SetV([f, g])) == hash(SetV([g, f]))
+    assert SetV([f, g]) != SetV([f, ident()])  # closures compare by identity
 
 
 def test_set_of_sets_order_does_not_depend_on_the_hash_seed():
@@ -256,7 +209,7 @@ def test_set_of_sets_order_does_not_depend_on_the_hash_seed():
                            text=True, env={**os.environ, "PYTHONPATH": src,
                                            "PYTHONHASHSEED": str(seed)}).stdout
             for seed in (0, 1, 2)}
-    assert outs == {"['{a, b}', '{b, c, d}', '{c}']\n"}
+    assert outs == {"['{a, b}', '{c}', '{b, c, d}']\n"}
 
 
 def test_fmap_writer_maps_first_component(registry):

@@ -150,6 +150,22 @@ def test_term_head_arity_is_checked(head):
         parse_term(form)
 
 
+def test_idx_rejects_a_negative_position():
+    [form] = sexpr.parse("(idx g -1)")
+    with pytest.raises(LanguageParseError,
+                       match=r"^line 1: idx expects a literal position of 0 or more$"):
+        parse_term(form)
+
+
+@pytest.mark.parametrize("seq_base", ["g", "s"])
+def test_idx_needs_only_the_sequence_type_it_reads(seq_base):
+    # the language declares one of the two sequence types, not both
+    lex = load_language_text(
+        f"(base-type e) (base-type t) (base-type {seq_base})\n"
+        f'(word "first" :type (-> {seq_base} e) :term (lam q (idx q 0)) :cat NP)\n')
+    assert entry(lex, "first").ty == Arrow(Base(seq_base), Base("e"))
+
+
 @pytest.mark.parametrize("functor, decls", [
     ("G", "(functor G :caps (functor applicative monad))"),  # no base type g
     ("Q", "(base-type g) (functor Q :caps (functor applicative monad))"),

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
         --workload ambiguity [--workload corpus ...] --pairs 10 --seconds 20 \\
-        [--seed 1] [--parent-commit SHA] \\
+        [--seed 1] [--trace] [--parent-commit SHA] \\
         [--change-text TEXT] [--claim TEXT] --out BENCH_name.json
 
 Each checkout is the root of a copy of the repository (say, the parent
@@ -12,14 +12,17 @@ checkout, so both sides run from byte code even where
 ``PYTHONDONTWRITEBYTECODE`` keeps the runs from writing it.  For each
 workload it then runs ``python3 perfbench/run.py --workload W --seed N
 --seconds S --trace 0`` in each checkout: one warm-up run of
-WARM_UP_SECONDS per side, then the pairs.  Even pairs run the parent
-first and odd pairs the change first, and the two sides never run at
-the same time.  Just before each run it times one bare ``python3 -I -c
+WARM_UP_SECONDS per side, then the pairs.  With ``--trace`` they are
+``--trace 1`` runs, which run a fixed number of rounds whatever S is.
+Even pairs run the parent first and odd pairs the change first, and the
+two sides never run at the same time.  Just before each run it times one bare ``python3 -I -c
 pass`` in the same checkout, so that a move of ``setup_s`` can be told
 from a move of the interpreter's own start.  It writes one JSON file with
 the summary of every end-to-end metric that ``BENCHMARK.json`` of the
-change declares, the median and quartiles of each side's bare start as
-``interpreter_start_s``, and every raw run.
+change declares (of every per-layer metric with ``--trace``), the median
+and quartiles of each side's bare start as ``interpreter_start_s``, and
+every raw run.  A per-layer metric has no bound, so its summary has no
+bound status: it is read, not gated.
 """
 
 from __future__ import annotations
@@ -50,13 +53,17 @@ METHOD = (
     "parent's by more than the parent's quartile distance; interpreter_start_s "
     "is the wall time of one bare 'python3 -I -c pass' in the same checkout just "
     "before each run")
+TRACE_METHOD = (
+    "; every run was a '--trace 1' run, which runs a fixed number of rounds "
+    "whatever --seconds says; per-layer metrics have no bound, so their summaries "
+    "carry no bound status")
 SIDES = ("parent", "change")
 WARM_UP_SECONDS = 2
 
 
-def command(workload: str, seed: int, seconds: float) -> list:
+def command(workload: str, seed: int, seconds: float, trace: bool = False) -> list:
     return [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
 
 
 def byte_compile(checkout: Path) -> None:
@@ -74,13 +81,14 @@ def interpreter_start(checkout: Path) -> float:
     return time.perf_counter() - start
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> dict:
     """One benchmark run in ``checkout``: its time of day, the bare
     interpreter start timed just before it, whether its checks held, its
     operation counts and each metric's value."""
     started = time.strftime("%H:%M:%S")
     bare_start = interpreter_start(checkout)
-    proc = subprocess.run(command(workload, seed, seconds), cwd=checkout,
+    proc = subprocess.run(command(workload, seed, seconds, trace), cwd=checkout,
                           capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"started": started, "interpreter_start_s": bare_start,
@@ -116,11 +124,20 @@ def _rounded(values):
 
 
 def summarise_metric(parent: list, change: list, unit: str, better: str,
-                     bound: float) -> dict:
+                     bound: float | None = None) -> dict:
     """Compare one metric's runs, ``parent[i]`` and ``change[i]`` being
-    pair i."""
+    pair i.  A metric with no ``bound``, a per-layer one, gets its
+    medians, quartiles and better pairs but no bound status."""
     sign = 1 if better == "lower" else -1  # positive differences are worse
     p, c = _quartiles(parent), _quartiles(change)
+    summary = {
+        "unit": unit, "parent": _rounded(p), "change": _rounded(c),
+        "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
+        "parent_runs": _rounded(parent),
+        "change_runs": _rounded(change),
+    }
+    if bound is None:
+        return summary
     worse_by = sign * (c["median"] - p["median"]) / p["median"]
     spread = (p["q3"] - p["q1"]) / p["median"]
     if spread > bound:
@@ -129,21 +146,19 @@ def summarise_metric(parent: list, change: list, unit: str, better: str,
         status = "worse beyond bound"
     else:
         status = "within bound"
-    return {
-        "unit": unit, "bound": bound, "parent": _rounded(p), "change": _rounded(c),
-        "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
+    summary.update({
+        "bound": bound,
         "change_worse_by": round(worse_by, 4),
         "parent_spread": round(spread, 4),
         "clears_parent_iqr": -sign * (c["median"] - p["median"]) > p["q3"] - p["q1"],
         "status": status,
-        "parent_runs": _rounded(parent),
-        "change_runs": _rounded(change),
-    }
+    })
+    return summary
 
 
-def summarise_workload(workload: str, seed: int, runs: dict, end_to_end: list) -> dict:
+def summarise_workload(workload: str, seed: int, runs: dict, declared: list) -> dict:
     """The summary of one workload's pairs; ``runs`` maps each side to
-    its runs and ``end_to_end`` is the ``BENCHMARK.json`` list."""
+    its runs and ``declared`` is a metric list of ``BENCHMARK.json``."""
     parent, change = runs["parent"], runs["change"]
     return {
         "workload": workload, "seed": seed, "pairs": len(parent),
@@ -157,8 +172,8 @@ def summarise_workload(workload: str, seed: int, runs: dict, end_to_end: list) -
         "metrics": {
             m["name"]: summarise_metric([r["metrics"][m["name"]] for r in parent],
                                         [r["metrics"][m["name"]] for r in change],
-                                        m["unit"], m["better"], m["bound"])
-            for m in end_to_end},
+                                        m["unit"], m["better"], m.get("bound"))
+            for m in declared},
         "runs": runs,
     }
 
@@ -171,6 +186,8 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trace", action="store_true",
+                   help="pair traced runs and summarise the per-layer metrics")
     p.add_argument("--parent-commit")
     p.add_argument("--change-text", default="")
     p.add_argument("--claim", default="none")
@@ -179,13 +196,15 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
     checkouts = {"parent": args.parent, "change": args.change}
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    declared = benchmark["per_layer" if args.trace else "end_to_end"]
+    shown = "trace.ops" if args.trace else "ops_per_s"
 
     def run(side, workload, warm_up):
         seconds = WARM_UP_SECONDS if warm_up else args.seconds
-        result = run_once(checkouts[side], workload, args.seed, seconds)
+        result = run_once(checkouts[side], workload, args.seed, seconds, args.trace)
         print(f"{workload} {side}{' warm-up' if warm_up else ''}: "
-              f"{result['metrics']['ops_per_s']:.2f} op/s", file=sys.stderr)
+              f"{shown} {result['metrics'][shown]:.2f}", file=sys.stderr)
         return result
 
     for checkout in checkouts.values():
@@ -195,11 +214,13 @@ def main(argv=None) -> int:
         "change": args.change_text,
         "claim": args.claim,
         "parent_commit": args.parent_commit,
-        "command": " ".join(["python3", *command("W", args.seed, args.seconds)[1:]]),
+        "command": " ".join(["python3",
+                             *command("W", args.seed, args.seconds, args.trace)[1:]]),
         "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
-        "method": METHOD.format(pairs=args.pairs, warm=WARM_UP_SECONDS),
+        "method": (METHOD.format(pairs=args.pairs, warm=WARM_UP_SECONDS)
+                   + (TRACE_METHOD if args.trace else "")),
         "workloads": {f"{w}/seed{args.seed}": summarise_workload(w, args.seed, runs[w],
-                                                                end_to_end)
+                                                                declared)
                       for w in args.workload},
         "warm_up_runs": warm_ups,
     }
