@@ -32,7 +32,7 @@ from . import terms as T
 from .lambda_eval import (COMPILE, EVAL_ERRORS, _as_bool, _carrier, _map_left, _map_right,
                           ap, apply_value, counit, eta, eval_term, fmap_apply, join,
                           lower, upsilon)
-from .lexicon import LanguageParseError, LexEntry, Lexicon, load_file, load_forms
+from .lexicon import LanguageParseError, LexEntry, Lexicon, _symbol, load_file, load_forms
 from .record import Record
 from .typesys import Arrow, Base, Eff, Registry, Ty, TypeSysError, deep_effect_count
 from .values import FALSE, TRUE, B, Fn, StateV
@@ -744,11 +744,11 @@ def load_syntax_text(text: str) -> SyntaxCFG:
     edges: dict = {}
 
     def rule(form, line):
-        items = form.items
-        if len(items) == 4:
-            binary.setdefault((items[2], items[3]), set()).add(items[1])
-        elif len(items) == 3:
-            edges.setdefault(items[2], set()).add(items[1])
+        cats = [_symbol(x, line) for x in form.items[1:]]
+        if len(cats) == 3:
+            binary.setdefault((cats[1], cats[2]), set()).add(cats[0])
+        elif len(cats) == 2:
+            edges.setdefault(cats[1], set()).add(cats[0])
         else:
             raise LanguageParseError(
                 "rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)", line)

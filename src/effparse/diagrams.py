@@ -53,53 +53,29 @@ class TwoCell(NamedTuple):
         return f"{self.kind}({inside})@{self.pos}"
 
 
+# Each cell kind's boundary: a function from the kind's parameters to the
+# (input word, output word) the cell consumes and produces.
+CELL_KINDS = {
+    "eta": lambda f: ((), (f,)),
+    "mu": lambda f: ((f, f), (f,)),
+    "ap": lambda f: ((f, f), (f,)),
+    "lower": lambda f: ((f,), ()),
+    "epsilon": lambda left, right: ((left, right), ()),
+    "eta-adj": lambda left, right: ((), (right, left)),
+    "handler": lambda name, f: ((f,), ()),
+}
+
+
 @lru_cache(maxsize=1 << 14)
-def _cell(pos: int, kind: str, params: tuple) -> TwoCell:
+def cell(pos: int, kind: str, *params) -> TwoCell:
     """The cell of a kind at a position.  Cells are immutable values, so
     the same one is handed out for equal arguments.  Distinct cells are
     few (the 6-cell confluence sweep of acceptance criterion 5 makes 88),
     so the bound only caps unusual inputs."""
-    if kind == "eta":
-        ins, outs = (), (params[0],)
-    elif kind == "mu":
-        ins, outs = (params[0], params[0]), (params[0],)
-    elif kind == "epsilon":
-        ins, outs = (params[0], params[1]), ()
-    elif kind == "eta-adj":
-        ins, outs = (), (params[1], params[0])
-    elif kind == "ap":
-        ins, outs = (params[0], params[0]), (params[0],)
-    elif kind == "handler":
-        ins, outs = (params[1],), ()
-    elif kind == "lower":
-        ins, outs = (params[0],), ()
-    else:
+    boundary = CELL_KINDS.get(kind)
+    if boundary is None:
         raise DiagramError(f"unknown cell kind {kind}")
-    return TwoCell(pos=pos, kind=kind, params=tuple(params), ins=ins, outs=outs)
-
-
-def eta_cell(pos, f):
-    return _cell(pos, "eta", (f,))
-
-
-def mu_cell(pos, f):
-    return _cell(pos, "mu", (f,))
-
-
-def epsilon_cell(pos, left, right):
-    return _cell(pos, "epsilon", (left, right))
-
-
-def eta_adj_cell(pos, left, right):
-    return _cell(pos, "eta-adj", (left, right))
-
-
-def handler_cell(pos, name, f):
-    return _cell(pos, "handler", (name, f))
-
-
-def lower_cell(pos, f):
-    return _cell(pos, "lower", (f,))
+    return TwoCell(pos, kind, params, *boundary(*params))
 
 
 class Diagram(NamedTuple):
@@ -173,10 +149,9 @@ def from_derivation(reg: Registry, d: Derivation) -> Diagram:
     """The effect diagram of a derivation.
 
     Bottom boundary: concatenated positive-position effects of the leaf
-    types, leftmost leaf leftmost.  J emits a join cell, A an applicative
-    merge, DN a lowering, C an adjunction counit; ML/MR/EL/ER only route
-    strings and UL/UR feed units consumed inside a function application,
-    so none of them shows up as a cell.
+    types, leftmost leaf leftmost.  A mode draws the cell kind that
+    ``MODE_RULES[kind].cell`` names, if it names one, and no cell
+    otherwise.
 
     The diagram is read off the root's :class:`_Summary`.  A leaf's
     summary depends on its type alone and a branch's on its modes and its
@@ -235,7 +210,7 @@ def _composed(modes, left, right) -> _Summary:
     maps a string to its effect and ``live`` lists the strings of the
     physical top word."""
     shift = len(right.bottom)
-    cells = [_cell(c.pos + shift, c.kind, c.params) for c in left.cells]
+    cells = [cell(c.pos + shift, c.kind, *c.params) for c in left.cells]
     cells += right.cells
     effs = list(left.top + right.top)
     live = list(range(len(effs)))
@@ -243,21 +218,21 @@ def _composed(modes, left, right) -> _Summary:
     def emit(kind, params, pool):
         """Draw a ``kind`` cell over the first strings of ``pool``; return
         the pool with those strings replaced by the cell's outputs."""
-        k = len(_cell(0, kind, params).ins)
+        k = len(cell(0, kind, *params).ins)
         idxs = sorted(live.index(s) for s in pool[:k])
         i0 = idxs[0]
         if idxs != list(range(i0, i0 + k)):
             raise PlanarityError(
                 f"mode {kind} must merge adjacent strings; derivation is not planar")
         ins_word = tuple(effs[live[i]] for i in idxs)
-        cell = _cell(len(live) - i0 - k, kind, params)
-        if cell.ins != ins_word:
+        drawn = cell(len(live) - i0 - k, kind, *params)
+        if drawn.ins != ins_word:
             raise PlanarityError(
-                f"mode {kind} expects strings {cell.ins}, found {ins_word}")
-        created = list(range(len(effs), len(effs) + len(cell.outs)))
-        effs.extend(cell.outs)
+                f"mode {kind} expects strings {drawn.ins}, found {ins_word}")
+        created = list(range(len(effs), len(effs) + len(drawn.outs)))
+        effs.extend(drawn.outs)
         live[i0:i0 + k] = created
-        cells.append(cell)
+        cells.append(drawn)
         return created + pool[k:]
 
     # peel the strings each wrapper mode takes off the children, outermost
@@ -271,10 +246,10 @@ def _composed(modes, left, right) -> _Summary:
     logical = wl + wr
     for m, strs in zip(reversed(modes[:-1]), reversed(taken)):
         logical = strs + logical
-        cell = MODE_RULES[m.kind].cell
-        if cell is not None:
+        kind = MODE_RULES[m.kind].cell
+        if kind is not None:
             # DN carries no functor: it lowers whichever effect it finds
-            logical = emit(cell, m.pair or (m.functor or effs[logical[0]],), logical)
+            logical = emit(kind, m.pair or (m.functor or effs[logical[0]],), logical)
     # wire runs of same-effect strings without braiding: within a run the
     # strings are indistinguishable, so the physically monotone assignment
     # is the planar-canonical one
@@ -312,7 +287,7 @@ def _can_swap(lower: TwoCell, upper: TwoCell) -> bool:
 def _swap(lower: TwoCell, upper: TwoCell):
     """Exchange two independent cells; the one moving down keeps its
     position, the one moving up re-counts the other's string delta."""
-    moved_up = _cell(lower.pos + len(upper.outs) - len(upper.ins), lower.kind, lower.params)
+    moved_up = cell(lower.pos + len(upper.outs) - len(upper.ins), lower.kind, *lower.params)
     return upper, moved_up
 
 
@@ -359,7 +334,7 @@ def _match_rule(c1: TwoCell, c2: TwoCell):
     # monad associativity, left-nested to right-nested
     if (c1.kind == "mu" and c2.kind == "mu" and c1.params == c2.params
             and c1.pos == c2.pos + 1):
-        return ("assoc", _cell(c2.pos, c1.kind, c1.params), c2)
+        return ("assoc", cell(c2.pos, c1.kind, *c1.params), c2)
     return None
 
 
@@ -482,7 +457,7 @@ def enumerate_diagrams(input_words, max_cells, menu=None, up_to_exchange=False):
     reordering of independent cells).
     """
     menu = cell_menu() if menu is None else menu
-    shapes = [(kind, params, _cell(0, kind, params).ins) for kind, params in menu]
+    shapes = [(kind, params, cell(0, kind, *params).ins) for kind, params in menu]
 
     def grow(inputs, word, cells):
         yield Diagram(inputs, cells)
@@ -494,10 +469,10 @@ def enumerate_diagrams(input_words, max_cells, menu=None, up_to_exchange=False):
             for i in range(n - k + 1):
                 if word[i:i + k] != ins:
                     continue
-                cell = _cell(n - i - k, kind, params)
-                if up_to_exchange and cells and _can_swap(cells[-1], cell):
+                c = cell(n - i - k, kind, *params)
+                if up_to_exchange and cells and _can_swap(cells[-1], c):
                     continue
-                yield from grow(inputs, word[:i] + cell.outs + word[i + k:], cells + (cell,))
+                yield from grow(inputs, word[:i] + c.outs + word[i + k:], cells + (c,))
 
     for word0 in input_words:
         yield from grow(tuple(word0), tuple(word0), ())

@@ -9,7 +9,6 @@ from effparse.typesys import FunctorDef, NatDef, Registry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
-TDATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def entry(lex, surface):

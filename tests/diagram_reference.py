@@ -10,7 +10,7 @@ instead of string objects.
 """
 
 from effparse.combine import MODE_RULES, Branch, Leaf
-from effparse.diagrams import Diagram, DiagramError, PlanarityError, _cell, _checked
+from effparse.diagrams import Diagram, DiagramError, PlanarityError, _checked, cell
 from effparse.typesys import positive_effects
 
 
@@ -36,27 +36,27 @@ def _build(d):
         raise DiagramError(f"not a derivation: {d!r}")
     cells_l, live_l, logical_l, bot_l = _build(d.left)
     cells_r, live_r, logical_r, bot_r = _build(d.right)
-    cells = [_cell(c.pos + len(bot_r), c.kind, c.params) for c in cells_l]
+    cells = [cell(c.pos + len(bot_r), c.kind, *c.params) for c in cells_l]
     cells += cells_r
     live = live_l + live_r
 
     def emit(kind, params, pool):
         """Draw a ``kind`` cell over the first strings of ``pool``; return
         the pool with those strings replaced by the cell's outputs."""
-        k = len(_cell(0, kind, params).ins)
+        k = len(cell(0, kind, *params).ins)
         idxs = sorted(live.index(s) for s in pool[:k])
         i0 = idxs[0]
         if idxs != list(range(i0, i0 + k)):
             raise PlanarityError(
                 f"mode {kind} must merge adjacent strings; derivation is not planar")
         ins_word = tuple(live[i].eff for i in idxs)
-        cell = _cell(len(live) - i0 - k, kind, params)
-        if cell.ins != ins_word:
+        drawn = cell(len(live) - i0 - k, kind, *params)
+        if drawn.ins != ins_word:
             raise PlanarityError(
-                f"mode {kind} expects strings {cell.ins}, found {ins_word}")
-        created = [_Str(eff) for eff in cell.outs]
+                f"mode {kind} expects strings {drawn.ins}, found {ins_word}")
+        created = [_Str(eff) for eff in drawn.outs]
         live[i0:i0 + k] = created
-        cells.append(cell)
+        cells.append(drawn)
         return created + pool[k:]
 
     # peel the strings each wrapper mode takes off the children, outermost
@@ -69,10 +69,10 @@ def _build(d):
     logical = wl + wr
     for m, strs in zip(reversed(d.modes[:-1]), reversed(taken)):
         logical = strs + logical
-        cell = MODE_RULES[m.kind].cell
-        if cell is not None:
+        kind = MODE_RULES[m.kind].cell
+        if kind is not None:
             # DN carries no functor: it lowers whichever effect it finds
-            logical = emit(cell, m.pair or (m.functor or logical[0].eff,), logical)
+            logical = emit(kind, m.pair or (m.functor or logical[0].eff,), logical)
     # wire runs of same-effect strings without braiding
     i = 0
     while i < len(logical):

@@ -18,10 +18,9 @@ from effparse.cli import main as cli_main
 from effparse.combine import (Branch, Leaf, derivation_key, derivation_term,
                               load_syntax, mode_count, parse, parse_forest,
                               render_modes)
-from effparse.diagrams import (Diagram, PlanarityError, all_normal_forms,
+from effparse.diagrams import (Diagram, PlanarityError, all_normal_forms, cell,
                                diagrams_equal, enumerate_diagrams, eq_normalize,
-                               eta_adj_cell, eta_cell, epsilon_cell,
-                               from_derivation, handler_cell, mu_cell, validate)
+                               from_derivation, validate)
 from effparse.lambda_eval import (EvalError, _run_state, adjunction_unit, ap,
                                   counit, eta, eval_term, fmap_apply, join,
                                   run_handler)
@@ -264,11 +263,11 @@ def _deletion_family(n):
     while len(nodes) + 2 <= n:
         which = k % 3
         if which == 0:
-            nodes += [eta_cell(1, "F1"), mu_cell(1, "F1")]
+            nodes += [cell(1, "eta", "F1"), cell(1, "mu", "F1")]
         elif which == 1:
-            nodes += [eta_adj_cell(1, "L", "R"), epsilon_cell(0, "L", "R")]
+            nodes += [cell(1, "eta-adj", "L", "R"), cell(0, "epsilon", "L", "R")]
         else:
-            nodes += [eta_cell(0, "F1"), handler_cell(0, "h1", "F1")]
+            nodes += [cell(0, "eta", "F1"), cell(0, "handler", "h1", "F1")]
         k += 1
     return Diagram(inputs=("F1", "R"), nodes=tuple(nodes))
 
@@ -279,7 +278,7 @@ def _assoc_family(n):
     m = n // 2
     nodes = []
     for j in range(m):
-        nodes += [mu_cell(j + 1, "F1"), mu_cell(j, "F1")]
+        nodes += [cell(j + 1, "mu", "F1"), cell(j, "mu", "F1")]
     return Diagram(inputs=("F1",) * (3 * m), nodes=tuple(nodes))
 
 

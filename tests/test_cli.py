@@ -93,6 +93,10 @@ TOO_DEEP = f"forms nest deeper than {sexpr.MAX_DEPTH} levels"
      "pred needs a literal arity of 0 or more"),
     ("--syntax", "(rule S)", "rule forms are (rule LHS RHS1 RHS2) or (rule LHS CAT)"),
     ("--syntax", "(foo S NP VP)", "syntax files contain only (rule ...) forms"),
+    ("--syntax", "(rule (S) NP VP)", "expected a symbol, found (S)"),
+    ("--syntax", "(rule S NP (VP x))", "expected a symbol, found (VP x)"),
+    ("--syntax", "(rule S 3 VP)", "expected a symbol, found 3"),
+    ("--syntax", '(rule S "NP" VP)', 'expected a symbol, found "NP"'),
     ("--language", "(", "unbalanced ("),
     ("--model", "(", "unbalanced ("),
     ("--syntax", "(", "unbalanced ("),
@@ -103,6 +107,7 @@ TOO_DEEP = f"forms nest deeper than {sexpr.MAX_DEPTH} levels"
                     f'(word "w" :type {_nested("-> e", 1200, "t")} :term true :cat S)'),
      TOO_DEEP),
 ], ids=["nat", "entity", "pred", "negative arity", "short rule", "not a rule",
+        "list category", "list right category", "number category", "string category",
         "unbalanced language", "unbalanced model", "unbalanced syntax", "empty model form",
         "deep language", "deep model", "deep syntax", "deep type"])
 def test_malformed_form_is_a_parse_error_exit_2(capsys, tmp_path, flag, form, message):

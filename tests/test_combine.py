@@ -11,8 +11,8 @@ import hypothesis.strategies as st
 from effparse import terms as T
 from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               UnknownTokenError, _combinator, _unpack, branch_value,
-                              derivation_term, enumerate_modes, mode_count,
-                              outcome, parse, parse_forest,
+                              derivation_term, enumerate_modes, load_syntax_text,
+                              mode_count, outcome, parse, parse_forest,
                               parse_mode, parse_modes, prune, render_modes,
                               replay_modes, value_of)
 from effparse.lambda_eval import (EVAL_ERRORS, EvalError, ShapeError, eval_term, fmap_apply,
@@ -113,6 +113,17 @@ def test_prune_unit_right_after_strip(registry):
 
 def test_prune_dn_with_counit(registry):
     assert prune(parse_modes("DN C_P:G >"), registry) is False
+
+
+def test_syntax_files_load_their_binary_and_unary_rules(syntax):
+    assert syntax.binary == {
+        ("NP", "VP"): ("S",), ("Det", "N"): ("NP",), ("V", "NP"): ("VP",),
+        ("BE", "A"): ("VP",), ("P", "NP"): ("PP",), ("N", "PP"): ("N",),
+        ("ADJ", "N"): ("N",), ("NP", "APP"): ("APP1",), ("APP1", "N"): ("NP",)}
+    assert syntax.unary == {}
+    relabel = load_syntax_text("(rule NP N)\n(rule S NP)\n")
+    assert relabel.binary == {}
+    assert relabel.unary == {"N": ("N", "NP", "S"), "NP": ("NP", "S"), "S": ("S",)}
 
 
 def test_pruned_enumeration_equals_post_filtering(syntax):

@@ -6,14 +6,13 @@ import weakref
 import pytest
 
 from effparse import diagrams
-from effparse.combine import Branch, parse, render_modes
-from effparse.diagrams import (Diagram, DiagramError, PlanarityError, all_normal_forms,
-                               applicable_reductions, cell_menu, diagram_to_dot,
-                               diagram_to_sexpr, diagrams_equal,
-                               enumerate_diagrams, eq_normalize, eta_adj_cell,
-                               eta_cell, epsilon_cell, from_derivation,
-                               handler_cell, lower_cell, mu_cell,
-                               right_normalize, validate, first_violation)
+from effparse.combine import MODE_RULES, Branch, parse, render_modes
+from effparse.diagrams import (CELL_KINDS, Diagram, DiagramError, PlanarityError,
+                               all_normal_forms, applicable_reductions, cell,
+                               cell_menu, diagram_to_dot, diagram_to_sexpr,
+                               diagrams_equal, enumerate_diagrams, eq_normalize,
+                               from_derivation, right_normalize, validate,
+                               first_violation)
 from effparse.typesys import Base, Eff
 
 from .conftest import ROOT, entry
@@ -156,13 +155,41 @@ def test_a_kept_planarity_error_is_raised_afresh_and_pins_nothing(english, synta
     assert alive() is None
 
 
+# -- cell kinds -----------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, params, ins, outs", [
+    ("eta", ("F1",), (), ("F1",)),
+    ("mu", ("F1",), ("F1", "F1"), ("F1",)),
+    ("ap", ("F2",), ("F2", "F2"), ("F2",)),
+    ("lower", ("C",), ("C",), ()),
+    ("epsilon", ("L", "R"), ("L", "R"), ()),
+    ("eta-adj", ("L", "R"), (), ("R", "L")),
+    ("handler", ("h1", "F1"), ("F1",), ()),
+])
+def test_each_cell_kind_has_its_boundary(kind, params, ins, outs):
+    c = cell(2, kind, *params)
+    assert (c.pos, c.kind, c.params, c.ins, c.outs) == (2, kind, params, ins, outs)
+    assert cell(2, kind, *params) is c
+
+
+def test_every_kind_drawn_or_enumerated_is_in_the_table():
+    drawn = {rule.cell for rule in MODE_RULES.values() if rule.cell is not None}
+    offered = {kind for kind, _ in cell_menu(lowerings=("C",))}
+    assert drawn | offered <= set(CELL_KINDS)
+
+
+def test_an_unknown_cell_kind_is_a_diagram_error():
+    with pytest.raises(DiagramError, match="unknown cell kind nope"):
+        cell(0, "nope")
+
+
 # -- validate -----------------------------------------------------------------
 
 def test_validate_rejects_interface_mismatch():
-    bad = Diagram(inputs=("M",), nodes=(mu_cell(0, "D"),))
+    bad = Diagram(inputs=("M",), nodes=(cell(0, "mu", "D"),))
     assert not validate(bad)
     assert first_violation(bad) is not None
-    mismatch = Diagram(inputs=("M", "M"), nodes=(mu_cell(0, "D"),))
+    mismatch = Diagram(inputs=("M", "M"), nodes=(cell(0, "mu", "D"),))
     assert "expects" in first_violation(mismatch)
 
 
@@ -171,7 +198,7 @@ def test_validate_empty():
 
 
 def test_validate_rejects_offsets():
-    bad = Diagram(inputs=("F1",), nodes=(lower_cell(3, "F1"),))
+    bad = Diagram(inputs=("F1",), nodes=(cell(3, "lower", "F1"),))
     assert not validate(bad)
 
 
@@ -180,26 +207,26 @@ def test_validate_rejects_offsets():
 def test_exchange_moves_right_cell_down():
     # two independent units over an empty boundary: left-created-first is
     # not exchange-normal; the right one must end up below
-    d = Diagram(inputs=(), nodes=(eta_cell(0, "F1"), eta_cell(0, "F2")))
+    d = Diagram(inputs=(), nodes=(cell(0, "eta", "F1"), cell(0, "eta", "F2")))
     nf = right_normalize(d)
     assert validate(nf)
-    assert nf.nodes == (eta_cell(0, "F2"), eta_cell(1, "F1"))
+    assert nf.nodes == (cell(0, "eta", "F2"), cell(1, "eta", "F1"))
     assert nf.output_word() == d.output_word()
 
 
 def test_single_cell_unchanged():
-    d = Diagram(inputs=("F1", "F1"), nodes=(mu_cell(0, "F1"),))
+    d = Diagram(inputs=("F1", "F1"), nodes=(cell(0, "mu", "F1"),))
     assert right_normalize(d) == d
 
 
 def test_shared_string_not_exchanged():
-    d = Diagram(inputs=(), nodes=(eta_cell(0, "F1"), handler_cell(0, "h1", "F1")))
+    d = Diagram(inputs=(), nodes=(cell(0, "eta", "F1"), cell(0, "handler", "h1", "F1")))
     assert right_normalize(d) == d
 
 
 def test_exchange_is_idempotent_and_valid():
     d = Diagram(inputs=("F1", "F1", "F2", "F2"),
-                nodes=(mu_cell(2, "F1"), mu_cell(0, "F2")))
+                nodes=(cell(2, "mu", "F1"), cell(0, "mu", "F2")))
     nf = right_normalize(d)
     assert validate(nf)
     assert right_normalize(nf) == nf
@@ -232,7 +259,7 @@ def test_exchange_normal_form_is_where_adjacent_swaps_stop():
 
 def test_snake_cancels_to_empty():
     d = Diagram(inputs=("R",),
-                nodes=(eta_adj_cell(1, "L", "R"), epsilon_cell(0, "L", "R")))
+                nodes=(cell(1, "eta-adj", "L", "R"), cell(0, "epsilon", "L", "R")))
     assert validate(d)
     nf = eq_normalize(d)
     assert nf == Diagram(inputs=("R",), nodes=())
@@ -240,44 +267,44 @@ def test_snake_cancels_to_empty():
 
 def test_snake_other_orientation():
     d = Diagram(inputs=("L",),
-                nodes=(eta_adj_cell(0, "L", "R"), epsilon_cell(1, "L", "R")))
+                nodes=(cell(0, "eta-adj", "L", "R"), cell(1, "epsilon", "L", "R")))
     assert validate(d)
     assert eq_normalize(d) == Diagram(inputs=("L",), nodes=())
 
 
 def test_unit_then_join_cancels():
-    d = Diagram(inputs=("F1",), nodes=(eta_cell(0, "F1"), mu_cell(0, "F1")))
+    d = Diagram(inputs=("F1",), nodes=(cell(0, "eta", "F1"), cell(0, "mu", "F1")))
     assert validate(d)
     assert eq_normalize(d) == Diagram(inputs=("F1",), nodes=())
-    d2 = Diagram(inputs=("F1",), nodes=(eta_cell(1, "F1"), mu_cell(0, "F1")))
+    d2 = Diagram(inputs=("F1",), nodes=(cell(1, "eta", "F1"), cell(0, "mu", "F1")))
     assert validate(d2)
     assert eq_normalize(d2) == Diagram(inputs=("F1",), nodes=())
 
 
 def test_eta_then_handler_cancels():
-    d = Diagram(inputs=(), nodes=(eta_cell(0, "F1"), handler_cell(0, "h1", "F1")))
+    d = Diagram(inputs=(), nodes=(cell(0, "eta", "F1"), cell(0, "handler", "h1", "F1")))
     assert eq_normalize(d) == Diagram(inputs=(), nodes=())
 
 
 def test_eta_then_lower_cancels():
-    d = Diagram(inputs=(), nodes=(eta_cell(0, "C"), lower_cell(0, "C")))
+    d = Diagram(inputs=(), nodes=(cell(0, "eta", "C"), cell(0, "lower", "C")))
     assert eq_normalize(d) == Diagram(inputs=(), nodes=())
 
 
 def test_associativity_rewrites_left_nesting():
     left_nested = Diagram(inputs=("F1", "F1", "F1"),
-                          nodes=(mu_cell(1, "F1"), mu_cell(0, "F1")))
+                          nodes=(cell(1, "mu", "F1"), cell(0, "mu", "F1")))
     assert validate(left_nested)
     nf = eq_normalize(left_nested)
     assert validate(nf)
-    assert nf.nodes == (mu_cell(0, "F1"), mu_cell(0, "F1"))
+    assert nf.nodes == (cell(0, "mu", "F1"), cell(0, "mu", "F1"))
     assert eq_normalize(nf) == nf
 
 
 def test_boundaries_preserved_by_normalisation():
     d = Diagram(inputs=("F1", "F1", "F1", "F2"),
-                nodes=(mu_cell(2, "F1"), mu_cell(1, "F1"), eta_cell(0, "F2"),
-                       mu_cell(0, "F2")))
+                nodes=(cell(2, "mu", "F1"), cell(1, "mu", "F1"), cell(0, "eta", "F2"),
+                       cell(0, "mu", "F2")))
     assert validate(d)
     nf = eq_normalize(d)
     assert validate(nf)
@@ -292,12 +319,12 @@ def test_unsound_rewrite_is_reported(monkeypatch):
 
     def off_the_word(c1, c2):
         if c1.kind == "mu" and c2.kind == "mu" and c1.pos == c2.pos + 1:
-            return ("assoc", mu_cell(c1.pos + 5, "F1"), c2)
+            return ("assoc", cell(c1.pos + 5, "mu", "F1"), c2)
         return None
 
     monkeypatch.setattr(diagrams, "_match_rule", off_the_word)
     left_nested = Diagram(inputs=("F1", "F1", "F1"),
-                          nodes=(mu_cell(1, "F1"), mu_cell(0, "F1")))
+                          nodes=(cell(1, "mu", "F1"), cell(0, "mu", "F1")))
     with pytest.raises(DiagramError, match="broke the diagram"):
         eq_normalize(left_nested)
     with pytest.raises(DiagramError, match="broke the diagram"):
@@ -307,26 +334,26 @@ def test_unsound_rewrite_is_reported(monkeypatch):
 # -- equality --------------------------------------------------------------------
 
 def test_equal_up_to_exchange():
-    d = Diagram(inputs=(), nodes=(eta_cell(0, "F1"), eta_cell(0, "F2")))
+    d = Diagram(inputs=(), nodes=(cell(0, "eta", "F1"), cell(0, "eta", "F2")))
     assert diagrams_equal(d, right_normalize(d))
 
 
 def test_equal_modulo_unit_insertion():
-    d = Diagram(inputs=("F1", "F1"), nodes=(mu_cell(0, "F1"),))
+    d = Diagram(inputs=("F1", "F1"), nodes=(cell(0, "mu", "F1"),))
     padded = Diagram(inputs=("F1", "F1"),
-                     nodes=(mu_cell(0, "F1"), eta_cell(0, "F1"), mu_cell(0, "F1")))
+                     nodes=(cell(0, "mu", "F1"), cell(0, "eta", "F1"), cell(0, "mu", "F1")))
     assert validate(padded)
     assert diagrams_equal(d, padded)
 
 
 def test_distinct_functor_labels_differ():
-    a = Diagram(inputs=("F1", "F1"), nodes=(mu_cell(0, "F1"),))
-    b = Diagram(inputs=("F2", "F2"), nodes=(mu_cell(0, "F2"),))
+    a = Diagram(inputs=("F1", "F1"), nodes=(cell(0, "mu", "F1"),))
+    b = Diagram(inputs=("F2", "F2"), nodes=(cell(0, "mu", "F2"),))
     assert not diagrams_equal(a, b)
 
 
 def test_equal_rejects_invalid_input():
-    bad = Diagram(inputs=("M",), nodes=(mu_cell(0, "D"),))
+    bad = Diagram(inputs=("M",), nodes=(cell(0, "mu", "D"),))
     with pytest.raises(DiagramError):
         diagrams_equal(bad, bad)
 
@@ -335,8 +362,8 @@ def test_equal_rejects_invalid_input():
 
 def test_reduction_chain_stays_valid_and_short():
     d = Diagram(inputs=("F1", "F1", "F1", "F1"),
-                nodes=(mu_cell(2, "F1"), mu_cell(1, "F1"), mu_cell(0, "F1"),
-                       eta_cell(0, "F1"), mu_cell(0, "F1")))
+                nodes=(cell(2, "mu", "F1"), cell(1, "mu", "F1"), cell(0, "mu", "F1"),
+                       cell(0, "eta", "F1"), cell(0, "mu", "F1")))
     assert validate(d)
     stats = {}
     nf = eq_normalize(d, stats=stats)
@@ -375,8 +402,8 @@ def test_diagram_sexpr_text():
                "(outs...)) ...))")
     assert grammar in (ROOT / "README.md").read_text()
     d = Diagram(inputs=("F1", "F2"),
-                nodes=(eta_cell(1, "F1"), mu_cell(2, "F1"),
-                       handler_cell(0, "h1", "F2")))
+                nodes=(cell(1, "eta", "F1"), cell(2, "mu", "F1"),
+                       cell(0, "handler", "h1", "F2")))
     assert diagram_to_sexpr(d) == ("(diagram :inputs (F1 F2) :nodes ("
                                    "(1 (eta F1) () (F1)) "
                                    "(2 (mu F1) (F1 F1) (F1)) "
@@ -384,7 +411,7 @@ def test_diagram_sexpr_text():
 
 
 def test_dot_output_mentions_cells():
-    d = Diagram(inputs=("F1", "F1"), nodes=(mu_cell(0, "F1"),))
+    d = Diagram(inputs=("F1", "F1"), nodes=(cell(0, "mu", "F1"),))
     dot = diagram_to_dot(d)
     assert dot.startswith("digraph")
     assert "mu_F1" in dot

@@ -45,12 +45,6 @@ TEST_REFERENCES = (
     ("replay_modes", "tests/test_combine.py::test_replay_soundness_of_parses"),
     ("prune", "tests/test_combine.py::test_pruned_enumeration_equals_post_filtering"),
     ("mode_count", "tests/test_acceptance.py::test_criterion_7_parsing_scale"),
-    ("eta_cell", "tests/test_diagrams.py::test_unit_then_join_cancels"),
-    ("mu_cell", "tests/test_diagrams.py::test_unit_then_join_cancels"),
-    ("eta_adj_cell", "tests/test_diagrams.py::test_snake_cancels_to_empty"),
-    ("epsilon_cell", "tests/test_diagrams.py::test_snake_cancels_to_empty"),
-    ("handler_cell", "tests/test_diagrams.py::test_eta_then_handler_cancels"),
-    ("lower_cell", "tests/test_diagrams.py::test_eta_then_lower_cancels"),
     ("adjunction_unit", "tests/test_acceptance.py::test_criterion_4_law_suites"),
     ("fresh_var", "tests/mode_terms.py::_lam2"),
 )
