@@ -574,14 +574,16 @@ def _nat_set_to_cont(reg, nat, v, model):
     return ContV(lambda c: B(any(_as_bool(c(x)) for x in s.elems)))
 
 
+# each builtin transformation: its component, and the (source, target)
+# word it maps between, None for the identity, which maps any word to itself
 BUILTIN_NATS = {
-    "lower": _nat_lower,
-    "identity": _nat_identity,
-    "choose-min": _nat_choose_min,
-    "choose-min-state": _nat_choose_min_state,
-    "maybe-default": _nat_maybe_default,
-    "iota": _nat_iota,
-    "set-to-cont": _nat_set_to_cont,
+    "lower": (_nat_lower, (("C",), ())),
+    "identity": (_nat_identity, None),
+    "choose-min": (_nat_choose_min, (("S",), ())),
+    "choose-min-state": (_nat_choose_min_state, (("D",), ())),
+    "maybe-default": (_nat_maybe_default, (("M",), ())),
+    "iota": (_nat_iota, (("S",), ("M",))),
+    "set-to-cont": (_nat_set_to_cont, (("S",), ("C",))),
 }
 
 # payloads each builtin's handler law is spot-checked on at load time
@@ -597,7 +599,7 @@ def apply_nat(reg: Registry, nat: NatDef, v, model: Model):
     if nat.source:
         check_shape(nat.source[0], v)
     try:
-        impl = BUILTIN_NATS[nat.component]
+        impl, _ = BUILTIN_NATS[nat.component]
     except KeyError:
         raise UnknownEffectError(
             f"nat {nat.name}: no builtin named {nat.component}") from None

@@ -5,7 +5,8 @@ natural transformations, and words; a model file declares entities,
 predicate extensions, and the initial assignment and discourse state.
 Both are s-expression dialects (see the README for the grammar).  Loading
 is strict: every word's term must check against its declared type, every
-adjunction partner must exist, and every handler passes a spot check of
+adjunction partner must exist, every nat must map the (source, target)
+word its builtin maps, and every handler passes a spot check of
 ``h . eta = id`` on generated values.
 
 Each entry's surface is folded (Unicode casefold) and split into its
@@ -22,8 +23,8 @@ from .lambda_eval import BUILTIN_NATS, EVAL_ERRORS, SPOT_PAYLOADS, eta, run_hand
 from .model import Model, ModelError, check_arity, check_new_entity
 from .record import Record
 from .typecheck import TypeCheckError, check_term
-from .typesys import (Arrow, FunctorDef, NatDef, Prod, Registry, Ty, TypeSysError,
-                      UnknownEffectError, deep_effect_count)
+from .typesys import (Arrow, FunctorDef, NatDef, Prod, Registry, RegistryError, Ty,
+                      TypeSysError, UnknownEffectError, deep_effect_count)
 from .values import values_equal
 
 
@@ -266,6 +267,11 @@ def _parse_nat(form) -> NatDef:
     impl = _symbol(kw[":impl"], line)
     if impl not in BUILTIN_NATS:
         raise UnknownEffectError(f"nat {name}: no builtin named {impl}")
+    word = BUILTIN_NATS[impl][1] or (src, src)
+    if (src, tgt) != word:
+        show = sexpr.unparse
+        raise RegistryError(f"nat {name}: :from {show(src)} :to {show(tgt)} does not match "
+                            f"builtin {impl}, which maps {show(word[0])} to {show(word[1])}")
     return NatDef(name=name, source=src, target=tgt,
                   is_handler=_bool(kw[":handler"], line),
                   component=impl, default=default)

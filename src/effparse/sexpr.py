@@ -35,15 +35,6 @@ class Node(Record):
     items: tuple
     line: int
 
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
-
-    def __iter__(self):
-        return iter(self.items)
-
 
 def _tokenize(text: str):
     i, line = 0, 1

@@ -143,6 +143,37 @@ def test_an_inconsistent_model_is_a_semantic_error_exit_3(capsys, tmp_path, form
     assert out == ""
 
 
+MONAD = ":caps (functor applicative monad)"
+
+
+@pytest.mark.parametrize("forms, message", [
+    ("(functor P :caps (functor) :applies-to *)\n"
+     '(word "a" :type (P e) :term (eta P (const j)))',
+     'word "a" (line 3): functor P lacks the applicative capability'),
+    ("(functor X :applies-to *)\n"
+     '(word "f" :type (-> (X e) (X e)) :term (lam v (fmap X (lam y y) v)))',
+     'word "f" (line 3): functor X lacks the functor capability'),
+    ("(functor X :applies-to *)\n"
+     '(word "u" :type (-> (X (-> e t)) (-> e (X t))) :term (lam f (upsilon X f)))',
+     'word "u" (line 3): functor X lacks the functor capability'),
+    (f"(functor S {MONAD})\n(functor M {MONAD})\n"
+     "(nat bad :from (S) :to (M) :handler false :impl identity)",
+     "line 4: nat bad: :from (S) :to (M) does not match builtin identity, "
+     "which maps (S) to (S)"),
+    (f"(functor S {MONAD})\n(nat h :from (S S) :to () :handler true :impl choose-min)",
+     "line 3: nat h: :from (S S) :to () does not match builtin choose-min, "
+     "which maps (S) to ()"),
+], ids=["eta", "checked fmap", "upsilon", "identity nat", "two-layer handler"])
+def test_an_operation_its_effect_cannot_do_is_a_semantic_error_exit_3(capsys, tmp_path,
+                                                                      forms, message):
+    bad = tmp_path / "bad.lang"
+    bad.write_text("(base-type e) (base-type t) (base-type g)\n" + forms + "\n")
+    code, out, err = run(capsys, "check", "--language", str(bad), "--model", MODEL)
+    assert code == 3
+    assert err == f"error: {bad}: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag", ["--language", "--model", "--syntax"])
 def test_a_file_that_is_not_utf8_is_a_parse_error_exit_2(capsys, tmp_path, flag):
     bad = tmp_path / "bad"

@@ -12,7 +12,7 @@ from effparse import terms as T
 from effparse.combine import (MODE_RULES, Branch, Leaf, Mode, ModeError,
                               UnknownTokenError, _combinator, _unpack, branch_value,
                               derivation_term, enumerate_modes, load_syntax_text,
-                              mode_count, outcome, parse, parse_forest,
+                              mode_count, modes_by_type, outcome, parse, parse_forest,
                               parse_mode, parse_modes, prune, render_modes,
                               replay_modes, value_of)
 from effparse.lambda_eval import (EVAL_ERRORS, EvalError, ShapeError, eval_term, fmap_apply,
@@ -62,6 +62,21 @@ def test_enumerate_requires_pure_argument(registry):
 
 def test_enumerate_empty_when_no_combination(registry):
     assert enumerate_modes(registry, e, e) == frozenset()
+
+
+@pytest.mark.parametrize("caps, offered", [
+    ("", {}),
+    (":caps (functor)", {Eff("X", t): ("ML_X <",), Eff("R", t): ("EL_R >", "ML_R >")}),
+])
+def test_map_and_internalise_modes_need_the_functor_capability(caps, offered):
+    """ML/MR and EL/ER map over their functor, so they are offered only
+    for a functor with the ``functor`` capability."""
+    reg = load_language_text(f"(base-type e) (base-type t) (functor X {caps}) "
+                             f"(functor L {caps}) (functor R {caps}) (adjunction L R)"
+                             ).registry
+    found = {**modes_by_type(reg, Eff("X", e), Arrow(e, t)),
+             **modes_by_type(reg, Eff("R", Arrow(e, t)), e)}
+    assert {ty: tuple(map(render_modes, seqs)) for ty, seqs in found.items()} == offered
 
 
 @given(data=st.data())

@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from effparse.combine import UnknownTokenError, parse_forest
-from effparse.lambda_eval import eta, run_handler
+from effparse.lambda_eval import BUILTIN_NATS, eta, run_handler
 from effparse import sexpr
 from effparse import terms as T
 from effparse.lexicon import (TERM_HEADS, LanguageParseError, LanguageSemanticError,
@@ -207,6 +209,22 @@ def test_a_nat_with_no_builtin_is_rejected_on_its_line():
     with pytest.raises(LanguageSemanticError,
                        match=f"^line {line}: nat n: no builtin named nosuch$"):
         load_language_text(bad)
+
+
+@pytest.mark.parametrize("impl", sorted(BUILTIN_NATS))
+def test_each_builtin_loads_on_its_own_word_and_no_other(impl):
+    decls = ("(base-type e) (base-type t) (base-type g) (base-type s)\n" + "".join(
+        f"(functor {f} :caps (functor applicative monad))\n" for f in "CDMS"))
+    word = BUILTIN_NATS[impl][1] or (("S",), ("S",))
+    src, tgt = map(sexpr.unparse, word)
+    handler = "true" if not word[1] else "false"
+    nat = f"(nat n :from {{}} :to {{}} :handler {handler} :impl {impl})\n"
+    assert load_language_text(decls + nat.format(src, tgt)).registry.nat("n").source == word[0]
+    line = decls.count("\n") + 1
+    for other in ("(S S)", "(C D)"):
+        with pytest.raises(LanguageSemanticError, match=re.escape(
+                f"line {line}: nat n: :from {other} :to {tgt} does not match builtin {impl}, ")):
+            load_language_text(decls + nat.format(other, tgt))
 
 
 def test_handler_law_violation_rejected():
