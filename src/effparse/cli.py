@@ -7,7 +7,8 @@
 Commands: parse, eval, diagram, normalize, equal, check.  ``diagram``
 prints the effect diagram of derivation ``--index`` (default 0) and
 ``normalize`` its equational normal form; ``equal`` compares derivations
-``--indices`` (default 0 1).  Any other command rejects these two options.
+``--indices`` (default 0 1).  A command given an option it does not
+read (see ``_READ_BY``) exits 2.
 
 Exit codes: 0 ok / at least one parse; 1 no parse; 2 a file that cannot
 be read, is not UTF-8 or does not parse, or a bad command-line argument
@@ -56,8 +57,11 @@ _EXIT_CODES = {
     _BadIndex: EXIT_BAD_INDEX,
 }
 
-# the commands that read each derivation-index option
-_READ_BY = {"index": ("diagram", "normalize"), "indices": ("equal",)}
+# the commands that read each option that not every command reads, by the
+# option's argparse destination; these options default to None
+_READ_BY = {"index": ("diagram", "normalize"), "indices": ("equal",),
+            "render": ("parse", "diagram", "normalize"), "evaluate": ("parse",),
+            "all_parses": ("parse", "eval")}
 
 
 def _argparser() -> argparse.ArgumentParser:
@@ -70,11 +74,12 @@ def _argparser() -> argparse.ArgumentParser:
     p.add_argument("--language", required=True, help="language definition file")
     p.add_argument("--model", required=True, help="finite model file")
     p.add_argument("--syntax", help="optional syntactic CFG file")
-    p.add_argument("--all-parses", action="store_true",
+    p.add_argument("--all-parses", action="store_true", default=None,
                    help="show every retained derivation, not just the first")
     p.add_argument("--max-derivations", type=int, default=64)
-    p.add_argument("--render", choices=["text", "dot"], default="text")
-    p.add_argument("--eval", dest="evaluate", action="store_true",
+    p.add_argument("--render", choices=["text", "dot"],
+                   help="output format for parse, diagram and normalize (default text)")
+    p.add_argument("--eval", dest="evaluate", action="store_true", default=None,
                    help="annotate each node with its evaluated value")
     p.add_argument("--index", type=int,
                    help="derivation index for diagram/normalize (default 0)")
@@ -99,8 +104,9 @@ def main(argv=None) -> int:
                      f"got {args.max_derivations}")
     for option, readers in _READ_BY.items():
         if getattr(args, option) is not None and args.command not in readers:
-            parser.error(f"argument --{option}: not read by {args.command}, "
-                         f"only by {' and '.join(readers)}")
+            flag = next(a.option_strings[0] for a in parser._actions if a.dest == option)
+            named = " and ".join(filter(None, (", ".join(readers[:-1]), readers[-1])))
+            parser.error(f"argument {flag}: not read by {args.command}, only by {named}")
     try:
         return _run(args)
     except tuple(_EXIT_CODES) as exc:

@@ -403,28 +403,52 @@ def applicable_reductions(d: Diagram):
     return [(f"{rule}@{i}", Diagram(d.inputs, new)) for rule, i, new in _reducts(d.nodes)]
 
 
-def all_normal_forms(d: Diagram, _memo=None) -> frozenset:
-    """Normal forms reachable by every maximal reduction order."""
-    if _memo is None:
-        _memo = {}
-    return _anf(right_normalize(d), _memo)
+def all_normal_forms(d: Diagram, memo=None) -> frozenset:
+    """Normal forms reachable by every maximal reduction order.
+
+    One ``memo`` dict may serve many calls, over any input words.  Its
+    values are private to this function; ``len(memo)`` counts the
+    exchange-normal diagrams visited."""
+    if memo is None:
+        memo = {}
+    return _as_set(_anf(right_normalize(d), memo))
 
 
-def _anf(d: Diagram, memo, rewritten: bool = False) -> frozenset:
-    """``rewritten``: ``d`` came from a reduction step, so it is checked
-    if it is a normal form; the entry diagram was checked already."""
+_CYCLE_GUARD = frozenset()
+
+
+def _anf(d: Diagram, memo, rewritten: bool = False):
+    """The normal forms of ``d`` as one ``Diagram`` when there is exactly
+    one, else as a frozenset, so that a confluent system stores one shared
+    reference per memo entry (hash-consing after Filliâtre & Conchon,
+    2006): a normal form is its own entry's key, and a diagram that
+    reduces holds the object its reduct's entry holds.  ``rewritten``:
+    ``d`` came from a reduction step, so it is checked if it is a normal
+    form; the entry diagram was checked already."""
     hit = memo.get(d)
     if hit is not None:
         return hit
-    memo[d] = frozenset()  # cycle guard
-    result, stepped = frozenset(), False
+    memo[d] = _CYCLE_GUARD
+    result = None
     for _, i, new in _reducts(d.nodes):
-        result |= _anf(Diagram(d.inputs, _exchange_sort(new, i)), memo, True)
-        stepped = True
-    if not stepped:
-        result = frozenset([_checked(d, "reduction broke the diagram") if rewritten else d])
+        nfs = _anf(Diagram(d.inputs, _exchange_sort(new, i)), memo, True)
+        result = nfs if result is None or result is nfs else _union(result, nfs)
+    if result is None:
+        result = _checked(d, "reduction broke the diagram") if rewritten else d
     memo[d] = result
     return result
+
+
+def _as_set(nfs) -> frozenset:
+    """The normal forms that :func:`_anf` stored as ``nfs``."""
+    return nfs if isinstance(nfs, frozenset) else frozenset((nfs,))
+
+
+def _union(a, b):
+    """The normal forms of ``a`` and ``b`` together, stored as
+    :func:`_anf` stores them."""
+    both = _as_set(a) | _as_set(b)
+    return next(iter(both)) if len(both) == 1 else both
 
 
 # -- exhaustive generation ------------------------------------------------------

@@ -331,6 +331,22 @@ def test_an_index_option_the_command_does_not_read_exits_2(capsys, command, opti
     assert f"argument {option[0]}: not read by {command}" in err
 
 
+@pytest.mark.parametrize("command, option, readers", [
+    ("eval", ("--render", "dot"), "parse, diagram and normalize"),
+    ("equal", ("--render", "text"), "parse, diagram and normalize"),
+    ("check", ("--render", "dot"), "parse, diagram and normalize"),
+    ("eval", ("--eval",), "parse"), ("diagram", ("--eval",), "parse"),
+    ("normalize", ("--eval",), "parse"),
+    ("diagram", ("--all-parses",), "parse and eval"),
+    ("equal", ("--all-parses",), "parse and eval")])
+def test_an_output_option_the_command_does_not_read_exits_2(capsys, command, option,
+                                                            readers):
+    code, out, err = run(capsys, *base(command, "--syntax", CFG, *option), "the cat sleeps")
+    assert code == 2
+    assert out == ""
+    assert f"argument {option[0]}: not read by {command}, only by {readers}" in err
+
+
 def test_index_options_default_to_the_first_derivations(capsys):
     sentence = "the cat eats a mouse"
     for command, option in (("diagram", ("--index", "0")), ("normalize", ("--index", "0")),
@@ -356,8 +372,9 @@ def test_render_dot(capsys):
     assert "digraph derivation" in out
 
 
-def test_diagram_render_dot(capsys):
-    code, out, _ = run(capsys, *base("diagram", "--render", "dot", "--syntax", CFG),
+@pytest.mark.parametrize("command", ["diagram", "normalize"])
+def test_diagram_render_dot(capsys, command):
+    code, out, _ = run(capsys, *base(command, "--render", "dot", "--syntax", CFG),
                        "no cat sleeps")
     assert code == 0
     assert "digraph effect_diagram" in out

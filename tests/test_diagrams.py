@@ -394,6 +394,69 @@ def test_confluence_small_oracle():
     assert count > 500
 
 
+ORACLE_WORDS = [(), ("F1",), ("F1", "F1"), ("F1", "F1", "F1"), ("R",), ("L",)]
+
+
+def test_a_shared_oracle_memo_answers_as_a_fresh_one():
+    """One memo over the 4-cell sweep gives every diagram the normal forms
+    a fresh memo gives it, on the first call and on a call that hits."""
+    memo = {}
+    for d in enumerate_diagrams(ORACLE_WORDS, max_cells=4, up_to_exchange=True):
+        fresh = all_normal_forms(d)
+        assert type(fresh) is frozenset and len(fresh) == 1
+        assert all_normal_forms(d, memo) == fresh
+        assert all_normal_forms(d, memo) == fresh
+
+
+def test_the_oracle_memo_counts_the_exchange_normal_diagrams_visited():
+    memo, visited = {}, set()
+    for d in enumerate_diagrams(ORACLE_WORDS, max_cells=4, up_to_exchange=True):
+        all_normal_forms(d, memo)
+        frontier = [right_normalize(d)]
+        while frontier:
+            cur = frontier.pop()
+            if cur not in visited:
+                visited.add(cur)
+                frontier += [right_normalize(nxt) for _, nxt in applicable_reductions(cur)]
+        assert len(memo) == len(visited)
+    assert set(memo) == visited
+
+
+def _without_one_unit_side(monkeypatch):
+    """Drop the monad-unit rule's case where the join sits one string left
+    of the unit, which makes reduction orders diverge."""
+    match = diagrams._match_rule
+
+    def dropped(c1, c2):
+        if c1.kind == "eta" and c2.kind == "mu" and c2.pos == c1.pos - 1:
+            return None
+        return match(c1, c2)
+
+    monkeypatch.setattr(diagrams, "_match_rule", dropped)
+
+
+def test_the_oracle_reports_divergence_through_a_shared_memo(monkeypatch):
+    _without_one_unit_side(monkeypatch)
+    d = Diagram(inputs=("F1", "F1"),
+                nodes=(cell(1, "eta", "F1"), cell(1, "mu", "F1"), cell(0, "mu", "F1")))
+    memo = {}
+    first = all_normal_forms(d, memo)
+    assert len(first) == 2
+    assert first == {Diagram(d.inputs, (cell(0, "mu", "F1"),)),
+                     Diagram(d.inputs, (cell(1, "eta", "F1"), cell(0, "mu", "F1"),
+                                        cell(0, "mu", "F1")))}
+    assert all_normal_forms(d, memo) == first == all_normal_forms(d)
+    divergent = []
+    for d in enumerate_diagrams(ORACLE_WORDS, max_cells=3, up_to_exchange=True):
+        nfs = all_normal_forms(d, memo)
+        assert all_normal_forms(d, memo) == nfs == all_normal_forms(d)
+        if len(nfs) > 1:
+            divergent.append(diagram_to_sexpr(d))
+    assert len(divergent) == 3
+    assert ("(diagram :inputs (F1 F1) :nodes ((1 (eta F1) () (F1)) "
+            "(1 (mu F1) (F1 F1) (F1)) (0 (mu F1) (F1 F1) (F1))))") in divergent
+
+
 # -- serialization ----------------------------------------------------------------
 
 def test_diagram_sexpr_text():
